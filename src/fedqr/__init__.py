@@ -2,7 +2,8 @@
 
 Library layout:
 
-* ``linalg``      dense kernels: matmul, thin QR, norms, subspace residuals
+* ``linalg``      dense kernels: matmul, thin and leading-block QR, norms,
+                  subspace residuals
 * ``adapter``     low-rank adapter pairs, QR-orthonormal initialization
 * ``model``       toy softmax classifier carrying the adapter
 * ``data``        synthetic blobs and Dirichlet non-IID partitioning
@@ -59,6 +60,7 @@ from .federation import (
 )
 from .linalg import (
     frobenius_norm,
+    leading_qr,
     matmul,
     slice_cols,
     slice_rows,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankError, ShapeError, slice_cols, slice_rows, thin_qr
+from .linalg import RankError, ShapeError, leading_qr, slice_cols, slice_rows
 
 DEFAULT_LORA_ALPHA = 16.0
 
@@ -52,6 +52,8 @@ class BaseWeight:
 
     ``frozen`` is never mutated by training; ``origin`` is kept only for
     diagnostics (subspace checks against the pre-trained starting point).
+    ``qr_orthogonal_init`` returns both arrays read-only, so one base can be
+    shared by every client of a federation.
     """
 
     frozen: np.ndarray
@@ -72,8 +74,9 @@ def qr_orthogonal_init(
 ) -> tuple[BaseWeight, LoraAdapter]:
     """Initialize an adapter from the QR factors of the pre-trained weight.
 
-    The adapter holds the leading ``client_rank`` columns of Q / rows of R.
-    The frozen base subtracts the leading ``base_rank`` component, where
+    The adapter holds the leading ``client_rank`` columns of Q / rows of R;
+    only the leading ``base_rank`` block of the factorization is formed
+    (``leading_qr``). The frozen base subtracts that leading component, where
     ``base_rank`` is the federation-wide server rank: with a single shared
     subtraction rank every client ends up with an identical frozen base, which
     cross-client aggregation relies on. With ``client_rank == base_rank`` and
@@ -87,13 +90,16 @@ def qr_orthogonal_init(
             f"need 0 < client_rank <= base_rank <= min(d, k); "
             f"got client_rank={client_rank}, base_rank={base_rank}, shape={(d, k)}"
         )
-    q, r = thin_qr(theta0)
+    q, r, _ = leading_qr(theta0, base_rank)
     b = slice_cols(q, client_rank)
     a = slice_rows(r, client_rank)
-    frozen = theta0 - slice_cols(q, base_rank) @ slice_rows(r, base_rank)
+    frozen = theta0 - q @ r
+    origin = theta0.copy()
+    frozen.flags.writeable = False
+    origin.flags.writeable = False
     if scaling is None:
         scaling = DEFAULT_LORA_ALPHA / client_rank
-    return BaseWeight(frozen=frozen, origin=theta0.copy()), LoraAdapter(b, a, client_rank, scaling)
+    return BaseWeight(frozen=frozen, origin=origin), LoraAdapter(b, a, client_rank, scaling)
 
 
 def effective_weight(base: BaseWeight, adapter: LoraAdapter) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Server-side fusion of client adapters.
 
 The exact route concatenates factors so the block product equals the weighted
-sum of per-client updates, then compresses with thin QR and slices to the
-server rank. Baseline aggregators (factor averaging, zero padding, the raw
-stack) are kept for comparison; factor averaging is biased by construction,
-which is the point.
+sum of per-client updates, then compresses it with a QR factorization of
+which only the leading server-rank block is formed. Baseline aggregators
+(factor averaging, zero padding, the raw stack) are kept for comparison;
+factor averaging is biased by construction, which is the point.
 
 Sample-count weights and each adapter's forward scaling are folded into the
 A-side blocks, so every aggregate below is expressed in true weight units.
@@ -14,12 +14,15 @@ independent of arrival order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adapter import LoraAdapter
-from .linalg import RankError, ShapeError, frobenius_norm, slice_cols, slice_rows, thin_qr
+from .linalg import RankError, ShapeError, frobenius_norm, leading_qr, slice_cols, slice_rows
+
+# still importable from here: benchmarks/workloads.py traces it under this name
+from .linalg import thin_qr  # noqa: F401
 
 
 class RankCompatibilityError(RankError):
@@ -42,17 +45,17 @@ class ClientUpdate:
 
 @dataclass
 class AggregationResult:
-    """QR factors of the aggregated update plus the server-rank slices.
+    """Leading server-rank QR factors of the aggregated update.
 
-    ``delta_exact`` keeps the pre-truncation update for diagnostics; a real
-    deployment would drop it, the simulator wants it for error accounting.
+    ``q`` holds the leading r_s columns of Q and ``r`` the leading r_s rows of
+    R; the server adapter is exactly this pair, and every client slices its
+    own rank from them.
     """
 
     q: np.ndarray
     r: np.ndarray
     server_adapter: LoraAdapter
     truncation_error: float
-    delta_exact: np.ndarray = field(repr=False)
 
 
 def _sorted_updates(updates: list[ClientUpdate]) -> tuple[list[ClientUpdate], np.ndarray]:
@@ -85,20 +88,20 @@ def concat_reconstruct(updates: list[ClientUpdate]) -> np.ndarray:
 
 
 def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
-    """Thin-QR compression of an aggregated update to the server rank.
+    """Leading-block QR compression of an aggregated update to the server rank.
 
-    The discarded trailing block of R measures the truncation exactly:
-    ||delta - B_s A_s||_F equals ||R[r_s:, :]||_F, which is re-verified on
-    every call.
+    Only the leading ``server_rank`` columns of Q and rows of R are formed
+    (``leading_qr``); they are all a client can use, since client ranks never
+    exceed the server rank. The truncation error is the residual of the
+    trailing columns after projection onto Q, which equals the norm of the
+    dense factorization's discarded block R[r_s:, :]. The identity
+    ||delta - B_s A_s||_F = truncation error is re-verified on every call;
+    the two column blocks are disjoint, so only the leading block's residual
+    is recomputed.
     """
-    d, k = delta.shape
-    if not 1 <= server_rank <= min(d, k):
-        raise RankError(f"server rank {server_rank} out of range for shape {(d, k)}")
-    q, r = thin_qr(delta)
-    b_s = slice_cols(q, server_rank)
-    a_s = slice_rows(r, server_rank)
-    truncation_error = frobenius_norm(r[server_rank:, :])
-    residual = frobenius_norm(delta - b_s @ a_s)
+    q, r, truncation_error = leading_qr(delta, server_rank)
+    head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
+    residual = float(np.hypot(head_residual, truncation_error))
     if abs(residual - truncation_error) > 1e-9 * (1.0 + frobenius_norm(delta)):
         raise ArithmeticError(
             f"truncation identity violated: residual {residual!r} vs "
@@ -107,18 +110,20 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
     return AggregationResult(
         q=q,
         r=r,
-        server_adapter=LoraAdapter(b_s, a_s, server_rank, scaling=1.0),
+        server_adapter=LoraAdapter(q, r, server_rank, scaling=1.0),
         truncation_error=truncation_error,
-        delta_exact=delta.copy(),
     )
 
 
 def personalize(result: AggregationResult, client_rank: int) -> LoraAdapter:
-    """Leading-slice factors for one client; stays inside the global subspace."""
-    if client_rank > min(result.q.shape[1], result.r.shape[0]):
-        raise RankError(
-            f"client rank {client_rank} exceeds available rank {result.q.shape[1]}"
-        )
+    """Leading-slice factors for one client; stays inside the global subspace.
+
+    The available rank is the server rank: ``result`` holds only the leading
+    r_s columns of Q and rows of R.
+    """
+    available = result.server_adapter.rank
+    if client_rank > available:
+        raise RankError(f"client rank {client_rank} exceeds available rank {available}")
     b = slice_cols(result.q, client_rank)
     a = slice_rows(result.r, client_rank)
     return LoraAdapter(b, a, client_rank, scaling=1.0)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import BaseWeight, LoraAdapter, effective_weight, factor_gradients
+from .adapter import LoraAdapter, effective_weight, factor_gradients, qr_orthogonal_init
 from .aggregation import (
     AggregationResult,
     ClientUpdate,
@@ -40,7 +40,6 @@ from .aggregation import (
     qr_compress,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition
-from .linalg import thin_qr
 from .model import head_accuracy, head_loss_and_grads, model_features
 from .optim import (
     AdamWState,
@@ -208,6 +207,9 @@ class RoundContext:
     d: int
     k: int
     first_round: bool = False
+    # rank sum of the stack full_stack ships this round, i.e. of the previous
+    # round's sample; None prices the current sample's stack
+    shipped_stack_rank: int | None = None
 
 
 def sampled_count(n_clients: int, participation: float) -> int:
@@ -221,14 +223,18 @@ def account_communication(config: FederationConfig, ctx: RoundContext) -> tuple[
     Per sampled client of rank r: factor slices cost r*(d+k) floats each way.
     The control-variate variant adds a global control broadcast of r_s*(d+k)
     and a delta upload of r*(d+k). Zero padding ships averages padded to the
-    federation's max rank; the full stack ships the whole concatenation to
-    every client (priced from the current sample, which matches the simulator
-    under full participation). The first round always ships the initial
-    per-client slices since no aggregate exists yet. Base weights and the
-    tiny bias vector are not part of the adapter-traffic model.
+    federation's max rank; the full stack ships the previous round's whole
+    concatenation to every client, priced from ``ctx.shipped_stack_rank``
+    (the current sample's rank sum when it is None, which matches the
+    simulator under full participation). The first round always ships the
+    initial per-client slices since no aggregate exists yet. Base weights and
+    the tiny bias vector are not part of the adapter-traffic model.
     """
     span = ctx.d + ctx.k
     r_s = config.server_rank
+    stack_rank = ctx.shipped_stack_rank
+    if stack_rank is None:
+        stack_rank = sum(ctx.sampled_ranks)
     down = 0
     up = 0
     for r in ctx.sampled_ranks:
@@ -242,7 +248,7 @@ def account_communication(config: FederationConfig, ctx: RoundContext) -> tuple[
         elif config.method == "zero_pad":
             down += max(config.client_ranks) * span
         elif config.method == "full_stack":
-            down += sum(ctx.sampled_ranks) * span
+            down += stack_rank * span
         if config.method == "ilora_s":
             down += r_s * span  # global controls, stored at the server rank
     return down * BYTES_PER_FLOAT, up * BYTES_PER_FLOAT
@@ -268,9 +274,11 @@ def init_federation(
 
     The server factorizes the pre-trained weight once and distributes slices;
     under the deterministic QR sign convention this is bit-identical to each
-    client factorizing locally. All controls start at zero, optimizer states
-    are fresh, and the reconstructed global model equals the pre-trained
-    weight up to factorization roundoff.
+    client factorizing locally. Every client and the server share one
+    read-only frozen base and one read-only pre-trained weight, so state grows
+    with N * r * (d + k), not N * d * k. All controls start at zero, optimizer
+    states are fresh, and the reconstructed global model equals the
+    pre-trained weight up to factorization roundoff.
     """
     if plan is None:
         plan = dirichlet_partition(
@@ -289,15 +297,20 @@ def init_federation(
     if config.server_rank > min(d, k):
         raise ConfigError(f"server rank {config.server_rank} exceeds min{(d, k)}")
 
-    theta0 = _pretrained_weight(d, k, config.train_seed)
-    q0, r0 = thin_qr(theta0)
-    top = q0[:, : config.server_rank] @ r0[: config.server_rank, :]
-    frozen = theta0 - top
+    base, leading = qr_orthogonal_init(
+        _pretrained_weight(d, k, config.train_seed),
+        config.server_rank,
+        config.server_rank,
+        scaling=1.0,
+    )
     clients: list[ClientState] = []
     for cid in range(config.n_clients):
         rank = config.client_ranks[cid]
         adapter = LoraAdapter(
-            q0[:, :rank].copy(), r0[:rank, :].copy(), rank, config.scaling_for(rank)
+            leading.b_factor[:, :rank].copy(),
+            leading.a_factor[:rank, :].copy(),
+            rank,
+            config.scaling_for(rank),
         )
         idx = plan.client_indices(cid)
         clients.append(
@@ -305,7 +318,7 @@ def init_federation(
                 client_id=cid,
                 features=all_features[idx],
                 labels=dataset.labels[idx],
-                base=BaseWeight(frozen=frozen.copy(), origin=theta0.copy()),
+                base=base,
                 adapter=adapter,
                 bias=np.zeros((1, k)),
                 bias_state=_fresh_state(config, (1, k)),
@@ -317,9 +330,9 @@ def init_federation(
         )
 
     server = ServerState(
-        theta0=theta0,
-        base_frozen=frozen.copy(),
-        global_model=frozen + top,
+        theta0=base.origin,
+        base_frozen=base.frozen,
+        global_model=base.frozen + leading.b_factor @ leading.a_factor,
         global_bias=np.zeros((1, k)),
         global_controls=zero_controls(d, k, config.server_rank),
     )
@@ -438,12 +451,6 @@ def run_round(
         )
     sampled = [clients[i] for i in sampled_ids]
     first_round = server.round_index == 0
-    ctx = RoundContext(
-        sampled_ranks=tuple(c.rank for c in sampled),
-        d=server.theta0.shape[0],
-        k=server.theta0.shape[1],
-        first_round=first_round,
-    )
 
     bytes_down = 0
     for client in sampled:

@@ -60,6 +60,31 @@ def thin_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def leading_qr(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Leading ``rank`` columns of Q and rows of R, plus the trailing-block norm.
+
+    The first ``rank`` Householder steps of a QR factorization see only the
+    first ``rank`` columns, so ``thin_qr(m[:, :rank])`` yields Q's leading
+    columns and R's leading triangle; the rest of R's leading rows is the
+    projection ``Q^T m[:, rank:]``. Returns (Q, R, tail_norm) with Q of shape
+    (rows, rank), R of shape (rank, cols) and upper triangular in its leading
+    block, and tail_norm = ||m[:, rank:] - Q R[:, rank:]||_F, which equals
+    ||R_full[rank:, :]||_F of the dense factorization in exact arithmetic.
+    Costs O(rows * cols * rank) instead of the dense O(rows * cols^2).
+    """
+    if m.ndim != 2:
+        raise ShapeError("leading_qr expects a 2-D matrix")
+    if not 0 < rank <= min(m.shape):
+        raise RankError(f"cannot take rank {rank} from shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("leading_qr input contains NaN or Inf")
+    q, r_head = thin_qr(m[:, :rank])
+    trailing = m[:, rank:]
+    r_right = q.T @ trailing
+    tail_norm = frobenius_norm(trailing - q @ r_right)
+    return q, np.hstack([r_head, r_right]), tail_norm
+
+
 def frobenius_norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(m, dtype=np.float64))))
 

@@ -35,7 +35,7 @@ from .federation import (
     run_federation,
     run_round,
 )
-from .linalg import frobenius_norm, subspace_residual
+from .linalg import frobenius_norm, subspace_residual, thin_qr
 from .model import Batch, ToyModel, forward_loss
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
@@ -107,10 +107,18 @@ def check_exact_reconstruction() -> CheckResult:
 
 
 def check_truncation_identity() -> CheckResult:
-    """||delta - B_s A_s||_F equals the trailing-block norm of R, every call."""
+    """qr_compress against the dense thin-QR oracle, on every call.
+
+    The truncation error must equal the residual ||delta - B_s A_s||_F and the
+    dense factorization's trailing-block norm ||R[r_s:, :]||_F. Every
+    personalized slice must agree with the dense factors' leading slices:
+    R's rows always, Q's columns up to the rank of delta, beyond which the
+    dense Q columns span roundoff and are not unique.
+    """
     rng = np.random.default_rng(43)
     worst = 0.0
     lossless_worst = 0.0
+    slice_worst = 0.0
     for _ in range(100):
         d = int(rng.integers(8, 25))
         k = int(rng.integers(8, 25))
@@ -118,17 +126,31 @@ def check_truncation_identity() -> CheckResult:
         delta = rng.standard_normal((d, inner)) @ rng.standard_normal((inner, k))
         r_s = int(rng.integers(1, min(d, k) + 1))
         result = qr_compress(delta, r_s)
+        dense_q, dense_r = thin_qr(delta)
         s_adapter = result.server_adapter
         residual = frobenius_norm(delta - s_adapter.b_factor @ s_adapter.a_factor)
-        worst = max(worst, abs(residual - result.truncation_error))
+        dense_tail = frobenius_norm(dense_r[r_s:, :])
+        worst = max(
+            worst,
+            abs(residual - result.truncation_error),
+            abs(dense_tail - result.truncation_error),
+        )
         if r_s >= inner:  # rank(delta) <= inner <= r_s: compression is lossless
             lossless_worst = max(lossless_worst, result.truncation_error)
-    passed = worst <= 1e-9 and lossless_worst <= 1e-10
+        scale = 1.0 + frobenius_norm(delta)
+        for rank in range(1, r_s + 1):
+            adapter = personalize(result, rank)
+            gap = np.max(np.abs(adapter.a_factor - dense_r[:rank, :])) / scale
+            if rank <= inner:
+                gap = max(gap, np.max(np.abs(adapter.b_factor - dense_q[:, :rank])))
+            slice_worst = max(slice_worst, gap)
+    passed = worst <= 1e-9 and lossless_worst <= 1e-10 and slice_worst <= 1e-10
     return CheckResult(
         "truncation_identity",
         passed,
         f"worst identity gap {worst:.3e} (tol 1e-9), "
-        f"worst lossless error {lossless_worst:.3e} (tol 1e-10)",
+        f"worst lossless error {lossless_worst:.3e} (tol 1e-10), "
+        f"worst Q/R slice gap to dense QR {slice_worst:.3e} (tol 1e-10)",
     )
 
 
@@ -464,25 +486,37 @@ def check_convergence_iid() -> CheckResult:
 
 
 def check_communication_accounting() -> CheckResult:
-    """Measured byte counters equal the analytic model on a small grid."""
+    """Measured byte counters equal the analytic model on a small grid.
+
+    The grid covers full participation at equal ranks and partial
+    participation (0.5, 0.25) at heterogeneous ranks, for every method
+    (factor averaging, which needs equal ranks, runs at the largest rank).
+    Sampled clients are read off the optimizer step counters; the full stack
+    ships the previous round's stack, priced from that round's sample.
+    """
     grid = [
-        (2, 2, 12, 6),  # (clients, rank, input_dim, classes)
-        (4, 3, 16, 8),
-        (5, 4, 20, 10),
+        ((2, 2), 12, 6, 1.0),  # (client ranks, input_dim, classes, participation)
+        ((3, 3, 3, 3), 16, 8, 1.0),
+        ((4, 4, 4, 4, 4), 20, 10, 1.0),
+        ((1, 2, 3, 4), 16, 8, 0.5),
+        ((1, 2, 3, 4, 4, 3, 2, 1), 16, 8, 0.25),
     ]
     mismatches = []
     ratio_gap = 0.0
-    for n_clients, rank, d_in, classes in grid:
+    for ranks, d_in, classes, participation in grid:
+        n_clients = len(ranks)
         per_method_down = {}
         for method in ("ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack"):
+            client_ranks = (max(ranks),) * n_clients if method == "fedit_avg" else ranks
             config = FederationConfig(
                 n_clients=n_clients,
-                client_ranks=(rank,) * n_clients,
-                server_rank=rank,
+                client_ranks=client_ranks,
+                server_rank=max(ranks),
                 method=method,
+                participation=participation,
                 local_epochs=1,
                 batch_size=8,
-                rounds=3,
+                rounds=4,
                 lr=0.01,
                 dirichlet_alpha=1.0,
                 lora_scaling=1.0,
@@ -492,30 +526,42 @@ def check_communication_accounting() -> CheckResult:
             )
             dataset = generate_blobs(classes, max(6, n_clients), d_in, 0.3, 3)
             server, clients = init_federation(config, dataset)
+            shipped_stack_rank = None
             for round_index in range(config.rounds):
+                steps_before = [c.state_a.step for c in clients]
                 server, metrics = run_round(server, clients, config)
+                sampled_ranks = tuple(
+                    c.rank for c, before in zip(clients, steps_before) if c.state_a.step != before
+                )
                 ctx = RoundContext(
-                    sampled_ranks=(rank,) * n_clients,
+                    sampled_ranks=sampled_ranks,
                     d=d_in,
                     k=classes,
                     first_round=round_index == 0,
+                    shipped_stack_rank=shipped_stack_rank,
                 )
+                shipped_stack_rank = sum(sampled_ranks)
                 expect_down, expect_up = account_communication(config, ctx)
                 if (metrics.bytes_down, metrics.bytes_up) != (expect_down, expect_up):
                     mismatches.append(
-                        f"{method} S={n_clients} round {round_index + 1}: "
+                        f"{method} ranks={client_ranks} p={participation} "
+                        f"round {round_index + 1}: "
                         f"measured {(metrics.bytes_down, metrics.bytes_up)} "
                         f"vs analytic {(expect_down, expect_up)}"
                     )
                 if round_index > 0:
                     per_method_down[method] = metrics.bytes_down
-        # stationary rounds at equal ranks: full-stack downlink costs S*r/r_s
-        # times the sliced downlink
-        measured_ratio = per_method_down["full_stack"] / per_method_down["ilora"]
-        expected_ratio = n_clients * rank / rank
-        ratio_gap = max(ratio_gap, abs(measured_ratio - expected_ratio))
+        if participation == 1.0:
+            # stationary rounds at equal ranks: full-stack downlink costs S*r/r_s
+            # times the sliced downlink
+            measured_ratio = per_method_down["full_stack"] / per_method_down["ilora"]
+            expected_ratio = n_clients * ranks[0] / max(ranks)
+            ratio_gap = max(ratio_gap, abs(measured_ratio - expected_ratio))
     passed = not mismatches and ratio_gap == 0.0
-    detail = f"3-point grid exact for all methods, downlink ratio gap {ratio_gap!r}"
+    detail = (
+        f"{len(grid)}-point grid (participation 1, 0.5, 0.25) exact for all methods, "
+        f"downlink ratio gap {ratio_gap!r}"
+    )
     if mismatches:
         detail = "; ".join(mismatches[:3])
     return CheckResult("communication_accounting", passed, detail)

@@ -13,7 +13,7 @@ from fedqr.aggregation import (
     personalize,
     qr_compress,
 )
-from fedqr.linalg import RankError, ShapeError, frobenius_norm, subspace_residual
+from fedqr.linalg import RankError, ShapeError, frobenius_norm, subspace_residual, thin_qr
 
 
 def make_updates(seed, ranks, d=9, k=7, counts=None, scalings=None):
@@ -98,9 +98,21 @@ class TestQrCompress:
         adapter = result.server_adapter
         residual = frobenius_norm(delta - adapter.b_factor @ adapter.a_factor)
         assert abs(residual - result.truncation_error) <= 1e-9
+        _, dense_r = thin_qr(delta)
         assert result.truncation_error == pytest.approx(
-            frobenius_norm(result.r[3:, :]), abs=1e-12
+            frobenius_norm(dense_r[3:, :]), abs=1e-12
         )
+
+    def test_keeps_only_server_rank_block_of_dense_qr(self):
+        rng = np.random.default_rng(73)
+        delta = rng.standard_normal((11, 4)) @ rng.standard_normal((4, 9))
+        result = qr_compress(delta, 3)
+        dense_q, dense_r = thin_qr(delta)
+        assert result.q.shape == (11, 3) and result.r.shape == (3, 9)
+        for rank in range(1, 4):
+            adapter = personalize(result, rank)
+            assert np.max(np.abs(adapter.b_factor - dense_q[:, :rank])) <= 1e-12
+            assert np.max(np.abs(adapter.a_factor - dense_r[:rank])) <= 1e-12 * frobenius_norm(delta)
 
     def test_error_monotone_in_server_rank(self):
         rng = np.random.default_rng(57)
@@ -153,6 +165,11 @@ class TestPersonalize:
         result = qr_compress(np.zeros((4, 3)), 2)
         with pytest.raises(RankError):
             personalize(result, 4)
+
+    def test_available_rank_is_server_rank(self):
+        result = qr_compress(np.random.default_rng(74).standard_normal((6, 5)), 2)
+        with pytest.raises(RankError, match="available rank 2"):
+            personalize(result, 3)
 
 
 class TestApplyGlobal:

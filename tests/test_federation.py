@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fedqr.config import preset_spec
 from fedqr.data import generate_blobs
 from fedqr.federation import (
     ConfigError,
@@ -41,6 +43,26 @@ def small_config(**overrides):
 
 def small_dataset(config, classes=8, spc=25, d_in=16, spread=0.3):
     return generate_blobs(classes, spc, d_in, spread, config.data_seed)
+
+
+def owned_bytes(*objects) -> int:
+    """Bytes of the distinct buffers behind every reachable array; views count once."""
+    owners = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj.nbytes
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                visit(getattr(obj, f.name))
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    visit(objects)
+    return sum(owners.values())
 
 
 class TestConfigValidation:
@@ -104,6 +126,30 @@ class TestInit:
             assert np.array_equal(adapter.b_factor, client.adapter.b_factor)
             assert np.array_equal(adapter.a_factor, client.adapter.a_factor)
             assert np.allclose(base.frozen, client.base.frozen, atol=1e-12)
+
+    def test_clients_and_server_share_one_read_only_base(self):
+        config = small_config()
+        server, clients = init_federation(config, small_dataset(config))
+        for client in clients:
+            assert client.base.frozen is server.base_frozen
+            assert client.base.origin is server.theta0
+        for array in (server.base_frozen, server.theta0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_state_does_not_grow_with_clients_times_weight(self):
+        # d x k = 64 x 32 dwarfs a rank-1 client's adapter, optimizer and controls
+        d, k = 64, 32
+        sizes = {}
+        for n in (2, 8):
+            config = small_config(
+                n_clients=n, client_ranks=(1,) * n, server_rank=1, hidden_dim=d
+            )
+            ds = generate_blobs(k, 8, k, 0.3, config.data_seed)
+            sizes[n] = owned_bytes(init_federation(config, ds))
+        per_client = (sizes[8] - sizes[2]) / 6
+        assert per_client < d * k * 8
 
     def test_initial_updates_confined_to_leading_subspace(self):
         config = small_config()
@@ -294,6 +340,30 @@ class TestCommunicationModel:
             sliced_down, _ = account_communication(sliced, ctx)
             ratios.append(stack_down / sliced_down)
         assert ratios == [2.0, 4.0, 8.0]
+
+    def test_full_stack_downlink_prices_the_shipped_stack(self):
+        # partial participation: round t ships round t-1's stack, whose rank
+        # sum differs from the current sample's
+        spec = preset_spec("canonical-noniid")
+        config = dataclasses.replace(
+            spec.federation, method="full_stack", participation=0.5,
+            client_ranks=(1, 2, 3, 4) * 2, rounds=2,
+        )
+        ds = generate_blobs(8, 50, 16, 0.25, config.data_seed)
+        server, clients = init_federation(config, ds)
+        shipped = None
+        for round_index in range(config.rounds):
+            steps = [c.state_a.step for c in clients]
+            server, metrics = run_round(server, clients, config)
+            ranks = tuple(c.rank for c, s in zip(clients, steps) if c.state_a.step != s)
+            ctx = RoundContext(
+                sampled_ranks=ranks, d=16, k=8, first_round=round_index == 0,
+                shipped_stack_rank=shipped,
+            )
+            assert account_communication(config, ctx)[0] == metrics.bytes_down
+            shipped = sum(ranks)
+        current = dataclasses.replace(ctx, shipped_stack_rank=None)
+        assert account_communication(config, current)[0] != metrics.bytes_down
 
     def test_control_traffic_added_for_drift_corrected_variant(self):
         plain = small_config(method="ilora", client_ranks=(4, 4, 4, 4))

@@ -9,6 +9,7 @@ from fedqr.linalg import (
     ShapeError,
     as_matrix,
     frobenius_norm,
+    leading_qr,
     matmul,
     slice_cols,
     slice_rows,
@@ -118,6 +119,75 @@ class TestThinQr:
         m = np.array([[1.0, np.nan]])
         with pytest.raises(ValueError, match="NaN"):
             thin_qr(m)
+
+
+def _leading_qr_case(kind, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    m = rng.standard_normal((rows, cols))
+    if kind == "low_rank":
+        inner = int(rng.integers(1, min(rows, cols) + 1))
+        m = rng.standard_normal((rows, inner)) @ rng.standard_normal((inner, cols))
+    elif kind == "zero_columns":
+        m[:, rng.integers(0, cols, size=max(1, cols // 2))] = 0.0
+    return m
+
+
+class TestLeadingQr:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["generic", "low_rank", "zero_columns", "zero"]),
+        rows=st.integers(1, 24),
+        cols=st.integers(1, 24),
+        rank_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_dense_qr_slices(self, kind, rows, cols, rank_fraction, seed):
+        m = _leading_qr_case(kind, rows, cols, seed)
+        rank = 1 + int(rank_fraction * (min(rows, cols) - 1))
+        q, r, tail_norm = leading_qr(m, rank)
+        dense_q, dense_r = thin_qr(m)
+        scale = 1.0 + frobenius_norm(m)
+        assert q.shape == (rows, rank) and r.shape == (rank, cols)
+        assert np.max(np.abs(r - dense_r[:rank])) <= 1e-12 * scale
+        assert abs(tail_norm - frobenius_norm(dense_r[rank:])) <= 1e-12 * scale
+        # Q is unique only up to the first (numerically) zero pivot: past it
+        # both factorizations complete the basis from roundoff
+        nonzero_pivot = np.abs(np.diagonal(dense_r))[:rank] > 1e-8 * scale
+        unique = rank if nonzero_pivot.all() else int(np.argmin(nonzero_pivot))
+        assert np.max(np.abs(q[:, :unique] - dense_q[:, :unique]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(q.T @ q - np.eye(rank))) <= 1e-10
+        assert not np.tril(r[:, :rank], -1).any()
+
+    def test_zero_matrix_equals_dense_slices(self):
+        m = np.zeros((6, 5))
+        q, r, tail_norm = leading_qr(m, 3)
+        dense_q, _ = thin_qr(m)
+        assert np.array_equal(q, dense_q[:, :3])
+        assert not r.any() and tail_norm == 0.0
+
+    def test_full_rank_slice_has_no_tail(self):
+        m = np.random.default_rng(6).standard_normal((7, 4))
+        q, r, tail_norm = leading_qr(m, 4)
+        assert tail_norm == 0.0
+        assert frobenius_norm(q @ r - m) <= 1e-12 * frobenius_norm(m)
+
+    def test_rank_bounds(self):
+        with pytest.raises(RankError):
+            leading_qr(np.ones((4, 3)), 4)
+        with pytest.raises(RankError):
+            leading_qr(np.ones((4, 3)), 0)
+
+    def test_rejects_nonfinite_trailing_column(self):
+        m = np.ones((4, 3))
+        m[0, 2] = np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            leading_qr(m, 1)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeError):
+            leading_qr(np.ones(4), 1)
 
 
 class TestFrobenius:
