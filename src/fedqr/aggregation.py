@@ -76,15 +76,12 @@ def concat_reconstruct(updates: list[ClientUpdate]) -> np.ndarray:
     """Exact weighted-sum update via block concatenation.
 
     Stacking B factors side by side and weight-scaled A factors on top of each
-    other makes the single block product equal sum_k p_k * s_k * B_k A_k, so
-    heterogeneous ranks fuse without averaging bias.
+    other (``baseline_full_stack``) makes the single block product equal
+    sum_k p_k * s_k * B_k A_k, so heterogeneous ranks fuse without averaging
+    bias.
     """
-    ordered, weights = _sorted_updates(updates)
-    b_concat = np.hstack([u.adapter.b_factor for u in ordered])
-    a_concat = np.vstack(
-        [w * u.adapter.scaling * u.adapter.a_factor for u, w in zip(ordered, weights)]
-    )
-    return b_concat @ a_concat
+    b_stack, a_stack = baseline_full_stack(updates)
+    return b_stack @ a_stack
 
 
 def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
@@ -138,20 +135,42 @@ def apply_global(
     return theta0 + global_scale * (adapter.b_factor @ adapter.a_factor)
 
 
+def factor_means(
+    updates: list[ClientUpdate], rank: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample-weighted factor means (sum p_k B_k, sum p_k s_k A_k).
+
+    Each client's factors are zero-padded to ``rank`` (default: the largest
+    client rank) and accumulated in ascending client id.
+    """
+    ordered, weights = _sorted_updates(updates)
+    max_rank = max(u.adapter.rank for u in ordered)
+    if rank is None:
+        rank = max_rank
+    if rank < max_rank:
+        raise RankError(f"target rank {rank} below largest client rank {max_rank}")
+    d, k = ordered[0].adapter.shape
+    b_mean = np.zeros((d, rank))
+    a_mean = np.zeros((rank, k))
+    for u, w in zip(ordered, weights):
+        r = u.adapter.rank
+        b_mean[:, :r] += w * u.adapter.b_factor
+        a_mean[:r, :] += w * u.adapter.scaling * u.adapter.a_factor
+    return b_mean, a_mean
+
+
 def baseline_factor_average(updates: list[ClientUpdate]) -> np.ndarray:
     """Biased factor-averaging aggregate: (sum p_k B_k)(sum p_k s_k A_k).
 
     Requires homogeneous ranks; the averaged-product bias relative to
     sum p_k s_k B_k A_k persists even then.
     """
-    ordered, weights = _sorted_updates(updates)
-    ranks = {u.adapter.rank for u in ordered}
+    ranks = {u.adapter.rank for u in updates}
     if len(ranks) > 1:
         raise RankCompatibilityError(
             f"rank-incompatible baseline: factor averaging needs equal ranks, got {sorted(ranks)}"
         )
-    b_mean = sum(w * u.adapter.b_factor for u, w in zip(ordered, weights))
-    a_mean = sum(w * u.adapter.scaling * u.adapter.a_factor for u, w in zip(ordered, weights))
+    b_mean, a_mean = factor_means(updates)
     return b_mean @ a_mean
 
 
@@ -160,17 +179,7 @@ def baseline_zero_pad(updates: list[ClientUpdate], target_rank: int) -> np.ndarr
 
     Reduces to plain factor averaging when ranks are already homogeneous.
     """
-    ordered, weights = _sorted_updates(updates)
-    max_rank = max(u.adapter.rank for u in ordered)
-    if target_rank < max_rank:
-        raise RankError(f"target rank {target_rank} below largest client rank {max_rank}")
-    d, k = ordered[0].adapter.shape
-    b_mean = np.zeros((d, target_rank))
-    a_mean = np.zeros((target_rank, k))
-    for u, w in zip(ordered, weights):
-        r = u.adapter.rank
-        b_mean[:, :r] += w * u.adapter.b_factor
-        a_mean[:r, :] += w * u.adapter.scaling * u.adapter.a_factor
+    b_mean, a_mean = factor_means(updates, target_rank)
     return b_mean @ a_mean
 
 

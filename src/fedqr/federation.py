@@ -31,16 +31,15 @@ from .adapter import LoraAdapter, effective_weight, factor_gradients, qr_orthogo
 from .aggregation import (
     AggregationResult,
     ClientUpdate,
-    baseline_factor_average,
     baseline_full_stack,
-    baseline_zero_pad,
     concat_reconstruct,
     apply_global,
+    factor_means,
     personalize,
     qr_compress,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition
-from .model import head_accuracy, head_loss_and_grads, model_features
+from .model import head_accuracy, head_loss_and_accuracy, head_loss_and_grads, model_features
 from .optim import (
     AdamWState,
     ControlVariates,
@@ -71,10 +70,15 @@ class ConfigError(ValueError):
 
 
 class RoundAbortedError(RuntimeError):
-    """Training produced a nonfinite loss; carries round and client context."""
+    """A round produced a nonfinite number; carries round and client context.
 
-    def __init__(self, round_index: int, client_id: int, message: str):
-        super().__init__(f"round {round_index}, client {client_id}: {message}")
+    ``client_id`` is None when the failure is server-side (a nonfinite
+    aggregate or global metric) rather than in one client's training.
+    """
+
+    def __init__(self, round_index: int, client_id: int | None, message: str):
+        where = "server" if client_id is None else f"client {client_id}"
+        super().__init__(f"round {round_index}, {where}: {message}")
         self.round_index = round_index
         self.client_id = client_id
 
@@ -137,7 +141,9 @@ class FederationConfig:
 @dataclass
 class ClientState:
     client_id: int
-    features: np.ndarray  # shard features, already through the frozen hidden map
+    # shard features, already through the frozen hidden map; a row view of
+    # the server's pooled training set
+    features: np.ndarray
     labels: np.ndarray
     base: BaseWeight
     adapter: LoraAdapter
@@ -169,6 +175,9 @@ class ServerState:
     global_controls: ControlVariates
     last_result: AggregationResult | None = None
     broadcast_factors: tuple[np.ndarray, np.ndarray] | None = None
+    # every client's training features and labels, in client order; each
+    # ClientState holds a row view of its own shard
+    pooled_train: tuple[np.ndarray, np.ndarray] | None = None
     heldout: tuple[np.ndarray, np.ndarray] | None = None
     round_index: int = 0
 
@@ -178,7 +187,7 @@ class RoundMetrics:
     round: int
     train_loss: float
     train_accuracy: float
-    heldout_accuracy: float
+    heldout_accuracy: float | None  # None without a held-out split
     truncation_error: float
     drift: float
     grad_heterogeneity: float
@@ -303,6 +312,12 @@ def init_federation(
         config.server_rank,
         scaling=1.0,
     )
+    # one gather in client order; each client's shard is a row view of it
+    shards = [plan.client_indices(cid) for cid in range(config.n_clients)]
+    order = np.concatenate(shards)
+    pooled_features = all_features[order]
+    pooled_labels = dataset.labels[order]
+    bounds = np.cumsum([0] + [idx.shape[0] for idx in shards])
     clients: list[ClientState] = []
     for cid in range(config.n_clients):
         rank = config.client_ranks[cid]
@@ -312,12 +327,12 @@ def init_federation(
             rank,
             config.scaling_for(rank),
         )
-        idx = plan.client_indices(cid)
+        rows = slice(bounds[cid], bounds[cid + 1])
         clients.append(
             ClientState(
                 client_id=cid,
-                features=all_features[idx],
-                labels=dataset.labels[idx],
+                features=pooled_features[rows],
+                labels=pooled_labels[rows],
                 base=base,
                 adapter=adapter,
                 bias=np.zeros((1, k)),
@@ -335,6 +350,7 @@ def init_federation(
         global_model=base.frozen + leading.b_factor @ leading.a_factor,
         global_bias=np.zeros((1, k)),
         global_controls=zero_controls(d, k, config.server_rank),
+        pooled_train=(pooled_features, pooled_labels),
     )
     if eval_dataset is not None:
         server.heldout = (model_features(eval_dataset.features, hidden), eval_dataset.labels)
@@ -498,13 +514,21 @@ def run_round(
             ]
         )
     )
-    train_loss, train_acc = _global_train_metrics(server, clients)
+    train_loss, train_acc = _global_train_metrics(server)
+    heldout_acc = None
     if server.heldout is not None:
         heldout_acc = head_accuracy(
             server.global_model, server.global_bias, server.heldout[0], server.heldout[1]
         )
-    else:
-        heldout_acc = train_acc
+    checked = {
+        "train_loss": train_loss,
+        "drift": drift,
+        "truncation_error": truncation_error,
+        "grad_heterogeneity": grad_het,
+    }
+    nonfinite = [f"{name}={value!r}" for name, value in checked.items() if not np.isfinite(value)]
+    if nonfinite:
+        raise RoundAbortedError(t, None, "nonfinite " + ", ".join(nonfinite))
 
     server.round_index = t
     metrics = RoundMetrics(
@@ -548,15 +572,12 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
         if config.method == "ilora_s":
             _fold_control_deltas(server, config, updates)
         return result.truncation_error
-    if config.method == "fedit_avg":
-        delta = baseline_factor_average(updates)
-        server.broadcast_factors = _factor_means(updates)
-        server.last_result = None
-    elif config.method == "zero_pad":
-        # pad to the federation-wide max rank so any later-sampled client fits
-        target = max(config.client_ranks)
-        delta = baseline_zero_pad(updates, target)
-        server.broadcast_factors = _factor_means(updates, pad_to=target)
+    if config.method in ("fedit_avg", "zero_pad"):
+        # zero_pad pads to the federation-wide max rank so any later-sampled
+        # client fits; fedit_avg's ranks are homogeneous, so nothing pads
+        b_mean, a_mean = factor_means(updates, max(config.client_ranks))
+        delta = b_mean @ a_mean
+        server.broadcast_factors = (b_mean, a_mean)
         server.last_result = None
     elif config.method == "full_stack":
         b_stack, a_stack = baseline_full_stack(updates)
@@ -569,21 +590,6 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
     return 0.0  # baseline global updates are applied without QR truncation
 
 
-def _factor_means(updates: list[ClientUpdate], pad_to: int | None = None):
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    counts = np.array([u.sample_count for u in ordered], dtype=np.float64)
-    weights = counts / counts.sum()
-    d, k = ordered[0].adapter.shape
-    rank = pad_to if pad_to is not None else ordered[0].adapter.rank
-    b_mean = np.zeros((d, rank))
-    a_mean = np.zeros((rank, k))
-    for u, w in zip(ordered, weights):
-        r = u.adapter.rank
-        b_mean[:, :r] += w * u.adapter.b_factor
-        a_mean[:r, :] += w * u.adapter.scaling * u.adapter.a_factor
-    return b_mean, a_mean
-
-
 def _fold_control_deltas(server, config, updates):
     padded_a = [pad_delta(u.control_deltas[0], config.server_rank, axis=0) for u in updates]
     padded_b = [pad_delta(u.control_deltas[1], config.server_rank, axis=1) for u in updates]
@@ -594,12 +600,12 @@ def _fold_control_deltas(server, config, updates):
     )
 
 
-def _global_train_metrics(server: ServerState, clients: list[ClientState]):
-    features = np.vstack([c.features for c in clients])
-    labels = np.concatenate([c.labels for c in clients])
-    loss, _, _ = head_loss_and_grads(server.global_model, server.global_bias, features, labels)
-    acc = head_accuracy(server.global_model, server.global_bias, features, labels)
-    return loss, acc
+def _global_train_metrics(server: ServerState) -> tuple[float, float]:
+    """Global-model loss and accuracy over the whole training set, one forward."""
+    if server.pooled_train is None:
+        raise ValueError("server state has no pooled training set; build it with init_federation")
+    features, labels = server.pooled_train
+    return head_loss_and_accuracy(server.global_model, server.global_bias, features, labels)
 
 
 def run_federation(

@@ -68,13 +68,13 @@ def model_features(inputs: np.ndarray, hidden_weight: np.ndarray | None) -> np.n
     return np.tanh(inputs @ hidden_weight)
 
 
-def head_loss_and_grads(
+def _softmax_cross_entropy(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of a linear softmax head, with exact gradients.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Logits, log-probabilities and mean cross-entropy of a linear softmax head.
 
-    Returns (loss, dL/dweight, dL/dbias). Log-probabilities are computed with
-    the usual max-shift so saturated logits stay finite.
+    Log-probabilities are computed with the usual max-shift so saturated
+    logits stay finite.
     """
     n = features.shape[0]
     if n == 0:
@@ -86,12 +86,36 @@ def head_loss_and_grads(
     log_norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_norm
     loss = float(-np.mean(log_probs[np.arange(n), labels]))
+    return logits, log_probs, loss
+
+
+def head_loss_and_grads(
+    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of a linear softmax head, with exact gradients.
+
+    Returns (loss, dL/dweight, dL/dbias).
+    """
+    _, log_probs, loss = _softmax_cross_entropy(weight, bias, features, labels)
+    n = features.shape[0]
     delta = np.exp(log_probs)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     weight_grad = features.T @ delta
     bias_grad = delta.sum(axis=0, keepdims=True)
     return loss, weight_grad, bias_grad
+
+
+def head_loss_and_accuracy(
+    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, float]:
+    """Mean cross-entropy and argmax accuracy from one forward product.
+
+    Bit-identical to ``head_loss_and_grads(...)[0]`` and ``head_accuracy(...)``;
+    the accuracy is read off the raw logits, so ties resolve as there.
+    """
+    logits, _, loss = _softmax_cross_entropy(weight, bias, features, labels)
+    return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def head_accuracy(

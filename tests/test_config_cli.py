@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -166,6 +167,19 @@ class TestRunExperiment:
         assert record["aborted"] is True
         assert record["round"] == 2
         assert record["client"] == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_global_metrics_abort_server_side(self, tmp_path):
+        spec = fast_spec(tmp_path)
+        spec.federation = dataclasses.replace(spec.federation, global_scale=1e308)
+        assert cli.run_experiment(spec) == 1
+        text = pathlib.Path(spec.output_path).read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        record = json.loads(text)
+        assert record["aborted"] is True
+        assert record["round"] == 1
+        assert record["client"] is None
+        assert record["error"].startswith("round 1, server: nonfinite train_loss=")
 
 
 class TestCliMain:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedqr.config import preset_spec
-from fedqr.data import generate_blobs
+from fedqr.data import dirichlet_partition, generate_blobs
 from fedqr.federation import (
     ConfigError,
     FederationConfig,
@@ -18,7 +18,7 @@ from fedqr.federation import (
     sampled_count,
 )
 from fedqr.linalg import frobenius_norm, subspace_residual, thin_qr
-from fedqr.model import head_loss_and_grads
+from fedqr.model import head_accuracy, head_loss_and_grads
 
 
 def small_config(**overrides):
@@ -151,6 +151,27 @@ class TestInit:
         per_client = (sizes[8] - sizes[2]) / 6
         assert per_client < d * k * 8
 
+    def test_client_shards_are_row_views_of_the_pooled_training_set(self):
+        config = small_config()
+        ds = small_dataset(config)
+        plan = dirichlet_partition(
+            ds, config.n_clients, config.dirichlet_alpha, config.partition_seed
+        )
+        server, clients = init_federation(config, ds, plan)
+        features, labels = server.pooled_train
+        start = 0
+        for client in clients:
+            rows = slice(start, start + client.n_samples)
+            assert np.shares_memory(client.features, features)
+            assert np.shares_memory(client.labels, labels)
+            assert client.features.ctypes.data == features[rows].ctypes.data
+            assert client.labels.ctypes.data == labels[rows].ctypes.data
+            idx = plan.client_indices(client.client_id)
+            assert np.array_equal(client.features, ds.features[idx])
+            assert np.array_equal(client.labels, ds.labels[idx])
+            start = rows.stop
+        assert start == features.shape[0] == labels.shape[0] == len(ds)
+
     def test_initial_updates_confined_to_leading_subspace(self):
         config = small_config()
         server, clients = init_federation(config, small_dataset(config))
@@ -259,6 +280,30 @@ class TestRounds:
             assert m.drift >= 0.0
             assert m.grad_heterogeneity >= 0.0
             assert m.bytes_down > 0 and m.bytes_up > 0
+
+    def test_global_metrics_match_per_client_vstack_evaluation(self):
+        config = small_config(hidden_dim=10, method="ilora_s", participation=0.5, rounds=3)
+        ds = small_dataset(config, d_in=12)
+        heldout = generate_blobs(8, 10, 12, 0.3, 999)
+        server, clients = init_federation(config, ds, eval_dataset=heldout)
+        for _ in range(config.rounds):
+            server, metrics = run_round(server, clients, config)
+            features = np.vstack([c.features for c in clients])
+            labels = np.concatenate([c.labels for c in clients])
+            weight, bias = server.global_model, server.global_bias
+            expected = dataclasses.replace(
+                metrics,
+                train_loss=head_loss_and_grads(weight, bias, features, labels)[0],
+                train_accuracy=head_accuracy(weight, bias, features, labels),
+            )
+            assert json.dumps(metrics.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_heldout_accuracy_is_none_without_heldout_split(self):
+        config = small_config(rounds=2)
+        metrics = run_federation(config, small_dataset(config))
+        for m in metrics:
+            assert m.heldout_accuracy is None
+            assert json.loads(json.dumps(m.to_dict()))["heldout_accuracy"] is None
 
     def test_nonfinite_loss_aborts_with_context(self):
         config = small_config()

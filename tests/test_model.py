@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedqr.adapter import BaseWeight, LoraAdapter
+from fedqr.linalg import ShapeError
 from fedqr.model import (
     Batch,
     EmptyBatchError,
@@ -9,6 +12,8 @@ from fedqr.model import (
     evaluate,
     forward_loss,
     head_accuracy,
+    head_loss_and_accuracy,
+    head_loss_and_grads,
     model_features,
 )
 
@@ -140,6 +145,45 @@ class TestEvaluate:
                     best = j
             correct += best == batch.labels[i]
         assert evaluate(model, batch) == pytest.approx(correct / len(batch))
+
+
+class TestHeadLossAndAccuracy:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["generic", "tied", "saturated"]),
+        n=st.integers(1, 40),
+        d=st.integers(1, 12),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bit_identical_to_separate_loss_and_accuracy(self, kind, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, d))
+        weight = rng.standard_normal((d, k))
+        bias = rng.standard_normal((1, k))
+        if kind == "tied":
+            # equal columns and biases give exactly equal logits in those classes
+            tied = rng.integers(0, k, size=k)
+            weight = weight[:, tied]
+            bias = bias[:, tied]
+        elif kind == "saturated":
+            weight *= 1e3
+            bias[0, rng.integers(0, k)] += 1e6
+        labels = rng.integers(0, k, size=n)
+        loss, accuracy = head_loss_and_accuracy(weight, bias, features, labels)
+        assert loss == head_loss_and_grads(weight, bias, features, labels)[0]
+        assert accuracy == head_accuracy(weight, bias, features, labels)
+        assert np.isfinite(loss)
+
+    def test_rejects_empty_batch_and_shape_mismatch(self):
+        with pytest.raises(EmptyBatchError):
+            head_loss_and_accuracy(
+                np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int)
+            )
+        with pytest.raises(ShapeError):
+            head_loss_and_accuracy(
+                np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((4, 5)), np.zeros(4, dtype=int)
+            )
 
 
 class TestFrozenStability:
