@@ -2,10 +2,12 @@
 
 Library layout:
 
-* ``linalg``      dense kernels: matmul, thin and leading-block QR, norms,
+* ``linalg``      dense kernels: thin and leading-block QR, norms, slices,
                   subspace residuals
-* ``adapter``     low-rank adapter pairs, QR-orthonormal initialization
-* ``model``       toy softmax classifier carrying the adapter
+* ``adapter``     low-rank adapter pairs, the frozen base weight (``BaseWeight``),
+                  QR-orthonormal initialization
+* ``model``       softmax-head functions on plain arrays: loss and gradients,
+                  accuracy, the optional frozen tanh features
 * ``data``        synthetic blobs and Dirichlet non-IID partitioning
 * ``optim``       AdamW plus control-variate drift correction
 * ``aggregation`` concatenated-QR fusion and baseline aggregators
@@ -61,13 +63,11 @@ from .federation import (
 from .linalg import (
     frobenius_norm,
     leading_qr,
-    matmul,
     slice_cols,
     slice_rows,
     subspace_residual,
     thin_qr,
 )
-from .model import Batch, ToyModel, evaluate, forward_loss
 from .optim import (
     AdamWState,
     ControlVariates,

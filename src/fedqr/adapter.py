@@ -48,22 +48,13 @@ class LoraAdapter:
 
 @dataclass
 class BaseWeight:
-    """Frozen base carried by a client plus the untouched pre-trained weight.
+    """Frozen base weight the adapter's update is added to.
 
-    ``frozen`` is never mutated by training; ``origin`` is kept only for
-    diagnostics (subspace checks against the pre-trained starting point).
-    ``qr_orthogonal_init`` returns both arrays read-only, so one base can be
-    shared by every client of a federation.
+    Training never mutates ``frozen``; ``qr_orthogonal_init`` returns it
+    read-only, so one base can be shared by every client of a federation.
     """
 
     frozen: np.ndarray
-    origin: np.ndarray
-
-    def __post_init__(self):
-        if self.frozen.shape != self.origin.shape:
-            raise ShapeError(
-                f"frozen {self.frozen.shape} and origin {self.origin.shape} differ"
-            )
 
 
 def qr_orthogonal_init(
@@ -94,12 +85,10 @@ def qr_orthogonal_init(
     b = slice_cols(q, client_rank)
     a = slice_rows(r, client_rank)
     frozen = theta0 - q @ r
-    origin = theta0.copy()
     frozen.flags.writeable = False
-    origin.flags.writeable = False
     if scaling is None:
         scaling = DEFAULT_LORA_ALPHA / client_rank
-    return BaseWeight(frozen=frozen, origin=origin), LoraAdapter(b, a, client_rank, scaling)
+    return BaseWeight(frozen=frozen), LoraAdapter(b, a, client_rank, scaling)
 
 
 def effective_weight(base: BaseWeight, adapter: LoraAdapter) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import replace
 from .config import (
     ExperimentSpec,
     apply_env_overrides,
+    experiment_seeds,
     parse_config,
     preset_spec,
     write_metrics,
@@ -70,12 +71,7 @@ def _load_spec(args) -> ExperimentSpec:
     if args.rounds is not None:
         overrides["rounds"] = args.rounds
     if args.seed is not None:
-        # one experiment seed fans out to the three stream seeds
-        overrides.update(
-            data_seed=args.seed,
-            partition_seed=100 + args.seed,
-            train_seed=200 + args.seed,
-        )
+        overrides.update(experiment_seeds(args.seed))
     if overrides:
         spec.federation = replace(spec.federation, **overrides)
     if args.out is not None:

@@ -67,6 +67,15 @@ class ExperimentSpec:
         return train, heldout
 
 
+def experiment_seeds(seed: int) -> dict[str, int]:
+    """The three stream seeds one experiment seed fans out to.
+
+    Data ``seed``, partition ``100 + seed``, training ``200 + seed``: the
+    scheme behind the CLI's ``--seed`` and the committed drift oracle.
+    """
+    return {"data_seed": seed, "partition_seed": 100 + seed, "train_seed": 200 + seed}
+
+
 def _default_spec() -> ExperimentSpec:
     # appendix-style defaults: homogeneous rank 4, one local epoch, five rounds
     return ExperimentSpec(

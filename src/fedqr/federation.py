@@ -22,12 +22,19 @@ Conventions that keep the whole loop coherent:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import LoraAdapter, effective_weight, factor_gradients, qr_orthogonal_init
+from .adapter import (
+    BaseWeight,
+    LoraAdapter,
+    effective_weight,
+    factor_gradients,
+    qr_orthogonal_init,
+)
 from .aggregation import (
     AggregationResult,
     ClientUpdate,
@@ -39,6 +46,7 @@ from .aggregation import (
     qr_compress,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition
+from .linalg import slice_cols, slice_rows
 from .model import head_accuracy, head_loss_and_accuracy, head_loss_and_grads, model_features
 from .optim import (
     AdamWState,
@@ -63,6 +71,10 @@ _TAG_THETA0 = 11
 _TAG_HIDDEN = 12
 _TAG_SAMPLING = 13
 _TAG_SHUFFLE = 14
+
+# the values run_round's nonfinite check tests are computed under this, so an
+# overflow reaches the caller as one RoundAbortedError, not as numpy warnings
+_quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 class ConfigError(ValueError):
@@ -195,17 +207,7 @@ class RoundMetrics:
     bytes_up: int
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "heldout_accuracy": self.heldout_accuracy,
-            "truncation_error": self.truncation_error,
-            "drift": self.drift,
-            "grad_heterogeneity": self.grad_heterogeneity,
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -306,11 +308,10 @@ def init_federation(
     if config.server_rank > min(d, k):
         raise ConfigError(f"server rank {config.server_rank} exceeds min{(d, k)}")
 
+    theta0 = _pretrained_weight(d, k, config.train_seed)
+    theta0.flags.writeable = False
     base, leading = qr_orthogonal_init(
-        _pretrained_weight(d, k, config.train_seed),
-        config.server_rank,
-        config.server_rank,
-        scaling=1.0,
+        theta0, config.server_rank, config.server_rank, scaling=1.0
     )
     # one gather in client order; each client's shard is a row view of it
     shards = [plan.client_indices(cid) for cid in range(config.n_clients)]
@@ -322,8 +323,8 @@ def init_federation(
     for cid in range(config.n_clients):
         rank = config.client_ranks[cid]
         adapter = LoraAdapter(
-            leading.b_factor[:, :rank].copy(),
-            leading.a_factor[:rank, :].copy(),
+            slice_cols(leading.b_factor, rank),
+            slice_rows(leading.a_factor, rank),
             rank,
             config.scaling_for(rank),
         )
@@ -345,7 +346,7 @@ def init_federation(
         )
 
     server = ServerState(
-        theta0=base.origin,
+        theta0=theta0,
         base_frozen=base.frozen,
         global_model=base.frozen + leading.b_factor @ leading.a_factor,
         global_bias=np.zeros((1, k)),
@@ -381,9 +382,7 @@ def _broadcast_adapter(server: ServerState, config: FederationConfig, rank: int)
         return personalize(server.last_result, rank)
     assert server.broadcast_factors is not None
     b_mean, a_mean = server.broadcast_factors
-    return LoraAdapter(
-        b_mean[:, :rank].copy(), a_mean[:rank, :].copy(), rank, scaling=1.0
-    )
+    return LoraAdapter(slice_cols(b_mean, rank), slice_rows(a_mean, rank), rank, scaling=1.0)
 
 
 def _shard_batches(client: ClientState, config: FederationConfig, round_index: int):
@@ -487,7 +486,8 @@ def run_round(
                 server.global_controls.c_a.size + server.global_controls.c_b.size
             ) * BYTES_PER_FLOAT
 
-    grad_het = _gradient_heterogeneity(sampled)
+    with _quiet_overflow():
+        grad_het = _gradient_heterogeneity(sampled)
 
     updates: list[ClientUpdate] = []
     bytes_up = 0
@@ -500,26 +500,23 @@ def run_round(
         if update.control_deltas is not None:
             bytes_up += sum(d.size for d in update.control_deltas) * BYTES_PER_FLOAT
 
-    truncation_error = _aggregate(server, config, updates)
+    with _quiet_overflow():
+        truncation_error = _aggregate(server, config, updates)
 
     weights = np.array([u.sample_count for u in updates], dtype=np.float64)
     weights /= weights.sum()
     server.global_bias = sum(w * c.bias for c, w in zip(sampled, weights))
 
-    drift = float(
-        np.mean(
-            [
-                np.linalg.norm(c.effective_weight() - server.global_model)
-                for c in sampled
-            ]
+    with _quiet_overflow():
+        drift = float(
+            np.mean(
+                [
+                    np.linalg.norm(c.effective_weight() - server.global_model)
+                    for c in sampled
+                ]
+            )
         )
-    )
-    train_loss, train_acc = _global_train_metrics(server)
-    heldout_acc = None
-    if server.heldout is not None:
-        heldout_acc = head_accuracy(
-            server.global_model, server.global_bias, server.heldout[0], server.heldout[1]
-        )
+        train_loss, train_acc = _global_train_metrics(server)
     checked = {
         "train_loss": train_loss,
         "drift": drift,
@@ -529,6 +526,11 @@ def run_round(
     nonfinite = [f"{name}={value!r}" for name, value in checked.items() if not np.isfinite(value)]
     if nonfinite:
         raise RoundAbortedError(t, None, "nonfinite " + ", ".join(nonfinite))
+    heldout_acc = None
+    if server.heldout is not None:
+        heldout_acc = head_accuracy(
+            server.global_model, server.global_bias, server.heldout[0], server.heldout[1]
+        )
 
     server.round_index = t
     metrics = RoundMetrics(

@@ -22,22 +22,6 @@ class BasisError(ValueError):
     """A matrix expected to have orthonormal columns does not."""
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce nested sequences (or an array) to a 2-D float64 matrix."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def matmul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if lhs.ndim != 2 or rhs.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if lhs.shape[1] != rhs.shape[0]:
-        raise ShapeError(f"cannot multiply {lhs.shape} by {rhs.shape}")
-    return lhs @ rhs
-
-
 def thin_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Economy QR factorization with a deterministic sign convention.
 

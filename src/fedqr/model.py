@@ -1,64 +1,21 @@
-"""Toy softmax classifier whose weight matrix carries the low-rank adapter.
+"""Linear softmax head whose weight matrix carries the low-rank adapter.
 
 Two architectures: plain softmax regression on the raw features, or the same
-head on top of a frozen random tanh layer. Either way the adapted matrix sees
-a closed-form cross-entropy gradient, so no autodiff is needed.
+head on top of a frozen random tanh layer (``model_features``). Either way the
+adapted matrix sees a closed-form cross-entropy gradient, so no autodiff is
+needed. Every function takes the effective head weight, the bias, the
+features and the labels as plain arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .adapter import BaseWeight, LoraAdapter, effective_weight
 from .linalg import ShapeError
 
 
 class EmptyBatchError(ValueError):
     """A loss or accuracy was requested on a batch with no samples."""
-
-
-@dataclass
-class Batch:
-    """Feature rows plus integer class labels."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ShapeError("batch needs 2-D inputs and 1-D labels")
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ShapeError(
-                f"{self.inputs.shape[0]} inputs but {self.labels.shape[0]} labels"
-            )
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
-@dataclass
-class ToyModel:
-    """Classifier state: frozen base + adapter on the head weight, free bias.
-
-    ``hidden_weight`` is an optional frozen random input projection; when set,
-    the head operates on ``tanh(x @ hidden_weight)`` instead of ``x``.
-    """
-
-    base: BaseWeight
-    adapter: LoraAdapter
-    bias: np.ndarray
-    hidden_weight: np.ndarray | None = None
-
-    @property
-    def architecture(self) -> str:
-        return "linear" if self.hidden_weight is None else "one_hidden"
-
-    @property
-    def n_classes(self) -> int:
-        return self.bias.shape[1]
 
 
 def model_features(inputs: np.ndarray, hidden_weight: np.ndarray | None) -> np.ndarray:
@@ -121,31 +78,9 @@ def head_loss_and_accuracy(
 def head_accuracy(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> float:
+    """Fraction of argmax-correct predictions."""
     if features.shape[0] == 0:
         raise EmptyBatchError("cannot evaluate an empty batch")
     # np.argmax takes the first maximum, i.e. ties resolve to the lowest class
     predictions = np.argmax(features @ weight + bias, axis=1)
     return float(np.mean(predictions == labels))
-
-
-def forward_loss(model: ToyModel, batch: Batch) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. the effective head weight and the bias."""
-    if len(batch) == 0:
-        raise EmptyBatchError("cannot compute a loss on an empty batch")
-    if batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
-        raise ValueError(
-            f"labels must lie in [0, {model.n_classes}), "
-            f"got range [{batch.labels.min()}, {batch.labels.max()}]"
-        )
-    features = model_features(batch.inputs, model.hidden_weight)
-    weight = effective_weight(model.base, model.adapter)
-    return head_loss_and_grads(weight, model.bias, features, batch.labels)
-
-
-def evaluate(model: ToyModel, batch: Batch) -> float:
-    """Fraction of argmax-correct predictions, ties toward the lowest class."""
-    if len(batch) == 0:
-        raise EmptyBatchError("cannot evaluate an empty batch")
-    features = model_features(batch.inputs, model.hidden_weight)
-    weight = effective_weight(model.base, model.adapter)
-    return head_accuracy(weight, model.bias, features, batch.labels)

@@ -25,7 +25,7 @@ from .aggregation import (
     personalize,
     qr_compress,
 )
-from .config import preset_spec
+from .config import ExperimentSpec, experiment_seeds, preset_spec
 from .data import generate_blobs
 from .federation import (
     FederationConfig,
@@ -36,7 +36,7 @@ from .federation import (
     run_round,
 )
 from .linalg import frobenius_norm, subspace_residual, thin_qr
-from .model import Batch, ToyModel, forward_loss
+from .model import head_loss_and_grads
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
 
@@ -233,8 +233,7 @@ def check_gradient_correctness() -> CheckResult:
         adapter = LoraAdapter(
             rng.standard_normal((d, r)), rng.standard_normal((r, k)), r, scaling
         )
-        frozen = rng.standard_normal((d, k))
-        base = BaseWeight(frozen=frozen, origin=frozen.copy())
+        base = BaseWeight(frozen=rng.standard_normal((d, k)))
         target = rng.standard_normal((d, k))
 
         def loss_of(adp):
@@ -254,32 +253,25 @@ def check_gradient_correctness() -> CheckResult:
                 fd = (loss_of(bumped) - loss_of(dipped)) / (2 * h)
                 worst_factor = max(worst_factor, _relative_error(grad[i, j], fd))
 
-    # full-weight gradient of the cross-entropy forward pass
+    # full-weight gradient of the softmax head's cross-entropy
     worst_weight = 0.0
     for _ in range(50):
         d = int(rng.integers(4, 10))
         k = int(rng.integers(3, 8))
-        r = int(rng.integers(1, min(d, k) + 1))
         n = int(rng.integers(3, 12))
-        frozen = 0.5 * rng.standard_normal((d, k))
-        model = ToyModel(
-            base=BaseWeight(frozen=frozen, origin=frozen.copy()),
-            adapter=LoraAdapter(
-                0.3 * rng.standard_normal((d, r)), 0.3 * rng.standard_normal((r, k)), r, 1.0
-            ),
-            bias=0.1 * rng.standard_normal((1, k)),
-        )
-        batch = Batch(rng.standard_normal((n, d)), rng.integers(0, k, size=n))
-        _, weight_grad, _ = forward_loss(model, batch)
+        weight = 0.5 * rng.standard_normal((d, k))
+        bias = 0.1 * rng.standard_normal((1, k))
+        features = rng.standard_normal((n, d))
+        labels = rng.integers(0, k, size=n)
+        _, weight_grad, _ = head_loss_and_grads(weight, bias, features, labels)
         for _ in range(20):
             i = int(rng.integers(d))
             j = int(rng.integers(k))
-            # shifting the frozen base shifts the effective weight identically
-            model.base.frozen[i, j] += h
-            up, _, _ = forward_loss(model, batch)
-            model.base.frozen[i, j] -= 2 * h
-            down, _, _ = forward_loss(model, batch)
-            model.base.frozen[i, j] += h
+            weight[i, j] += h
+            up, _, _ = head_loss_and_grads(weight, bias, features, labels)
+            weight[i, j] -= 2 * h
+            down, _, _ = head_loss_and_grads(weight, bias, features, labels)
+            weight[i, j] += h
             fd = (up - down) / (2 * h)
             worst_weight = max(worst_weight, _relative_error(weight_grad[i, j], fd))
     elapsed = time.perf_counter() - start
@@ -292,37 +284,13 @@ def check_gradient_correctness() -> CheckResult:
     )
 
 
-def _canonical_config(method: str, seed: int, alpha: float | None = None) -> FederationConfig:
+def _canonical_spec(method: str, seed: int, alpha: float | None = None) -> ExperimentSpec:
+    """The canonical-noniid preset at one experiment seed (the drift-oracle scheme)."""
     spec = preset_spec("canonical-noniid")
-    fed = replace(
-        spec.federation,
-        method=method,
-        data_seed=seed,
-        partition_seed=100 + seed,
-        train_seed=200 + seed,
-    )
+    spec.federation = replace(spec.federation, method=method, **experiment_seeds(seed))
     if alpha is not None:
-        fed = replace(fed, dirichlet_alpha=alpha)
-    return fed
-
-
-def _canonical_datasets(seed: int):
-    spec = preset_spec("canonical-noniid")
-    train = generate_blobs(
-        spec.data.classes,
-        spec.data.samples_per_class,
-        spec.data.input_dim,
-        spec.data.spread,
-        seed,
-    )
-    heldout = generate_blobs(
-        spec.data.classes,
-        spec.data.eval_samples_per_class,
-        spec.data.input_dim,
-        spec.data.spread,
-        spec.data.eval_seed,
-    )
-    return train, heldout
+        spec.federation = replace(spec.federation, dirichlet_alpha=alpha)
+    return spec
 
 
 def check_first_round_equivalence() -> CheckResult:
@@ -334,8 +302,9 @@ def check_first_round_equivalence() -> CheckResult:
     """
     states = {}
     for method in ("ilora", "ilora_s"):
-        config = replace(_canonical_config(method, seed=1), rounds=1, local_epochs=1)
-        train, heldout = _canonical_datasets(1)
+        spec = _canonical_spec(method, seed=1)
+        config = replace(spec.federation, rounds=1, local_epochs=1)
+        train, heldout = spec.build_datasets()
         server, clients = init_federation(config, train, eval_dataset=heldout)
         server, _ = run_round(server, clients, config)
         states[method] = (server, clients)
@@ -396,9 +365,9 @@ def check_cross_method_equivalence() -> CheckResult:
 
 def canonical_final_metrics(method: str, seed: int, alpha: float | None = None):
     """Final-round metrics of one canonical-preset run (the drift study unit)."""
-    config = _canonical_config(method, seed, alpha)
-    train, heldout = _canonical_datasets(seed)
-    return run_federation(config, train, heldout)[-1]
+    spec = _canonical_spec(method, seed, alpha)
+    train, heldout = spec.build_datasets()
+    return run_federation(spec.federation, train, heldout)[-1]
 
 
 def load_drift_oracle() -> dict:
@@ -469,8 +438,9 @@ def check_convergence_iid() -> CheckResult:
     """
     ratios = []
     for seed in (1, 2, 3, 4, 5):
-        fed_config = _canonical_config("ilora", seed, alpha=1e6)
-        train, heldout = _canonical_datasets(seed)
+        spec = _canonical_spec("ilora", seed, alpha=1e6)
+        fed_config = spec.federation
+        train, heldout = spec.build_datasets()
         fed_acc = run_federation(fed_config, train, heldout)[-1].heldout_accuracy
         centralized = replace(
             fed_config, n_clients=1, client_ranks=(fed_config.server_rank,)

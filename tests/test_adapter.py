@@ -47,7 +47,7 @@ class TestInit:
     def test_shared_base_confines_update_to_leading_subspace(self):
         theta0, base, adapter = random_setup(13, client_rank=2, base_rank=5)
         q, _ = thin_qr(theta0)
-        diff = effective_weight(base, adapter) - base.origin
+        diff = effective_weight(base, adapter) - theta0
         assert subspace_residual(q[:, :5], diff) <= 1e-9
 
     def test_default_scaling_is_alpha_over_rank(self):
@@ -72,12 +72,12 @@ class TestEffectiveWeight:
 
     def test_init_identity_at_matching_ranks(self):
         theta0, base, adapter = random_setup(16, client_rank=5, base_rank=5, scaling=1.0)
-        assert frobenius_norm(effective_weight(base, adapter) - base.origin) <= 1e-9
+        assert frobenius_norm(effective_weight(base, adapter) - theta0) <= 1e-9
 
     def test_rank_one_outer_product_oracle(self):
         rng = np.random.default_rng(17)
         frozen = rng.standard_normal((5, 4))
-        base = BaseWeight(frozen=frozen, origin=frozen.copy())
+        base = BaseWeight(frozen=frozen)
         b = rng.standard_normal((5, 1))
         a = rng.standard_normal((1, 4))
         adapter = LoraAdapter(b, a, 1, scaling=1.7)
@@ -114,7 +114,7 @@ class TestFactorGradients:
                 rng.standard_normal((d, r)), rng.standard_normal((r, k)), r, scaling
             )
             frozen = rng.standard_normal((d, k))
-            base = BaseWeight(frozen=frozen, origin=frozen.copy())
+            base = BaseWeight(frozen=frozen)
             target = rng.standard_normal((d, k))
             wgrad = effective_weight(base, adapter) - target
             gb, ga = factor_gradients(adapter, wgrad)
@@ -150,10 +150,6 @@ class TestInvariants:
             LoraAdapter(np.zeros((2, 3)), np.zeros((3, 2)), 3, 1.0)
         with pytest.raises(ValueError):
             LoraAdapter(np.zeros((4, 1)), np.zeros((1, 4)), 1, 0.0)
-
-    def test_base_weight_shapes_must_match(self):
-        with pytest.raises(ShapeError):
-            BaseWeight(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_frozen_bitstable_under_adapter_training(self):
         from fedqr.optim import adamw_step, fresh_adamw_state

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import pathlib
@@ -9,6 +10,7 @@ from fedqr.config import (
     PAPER_HETERO_ALPHA_GRID,
     ConfigParseError,
     apply_env_overrides,
+    experiment_seeds,
     parse_config,
     preset_spec,
     read_metrics,
@@ -210,6 +212,14 @@ class TestCliMain:
         )
         assert code == 0
         assert len(read_metrics(out_path)) == 1
+
+    def test_seed_fans_out_to_stream_seeds(self):
+        args = argparse.Namespace(
+            config=None, preset="default", method=None, rounds=None, seed=4, out=None
+        )
+        fed = cli._load_spec(args).federation
+        assert (fed.data_seed, fed.partition_seed, fed.train_seed) == (4, 104, 204)
+        assert experiment_seeds(4) == {"data_seed": 4, "partition_seed": 104, "train_seed": 204}
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

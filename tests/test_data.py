@@ -40,6 +40,11 @@ class TestGenerateBlobs:
     def test_every_class_present_invariant(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 4)), np.array([0, 0, 2]), n_classes=3)
+        # labels outside [0, n_classes) are rejected too
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((4, 4)), np.array([0, 1, 2, 3]), n_classes=3)
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((4, 4)), np.array([-1, 0, 1, 2]), n_classes=3)
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError, match="simplex"):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,7 +133,6 @@ class TestInit:
         server, clients = init_federation(config, small_dataset(config))
         for client in clients:
             assert client.base.frozen is server.base_frozen
-            assert client.base.origin is server.theta0
         for array in (server.base_frozen, server.theta0):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -313,6 +313,17 @@ class TestRounds:
         with pytest.raises(RoundAbortedError) as excinfo:
             run_round(server, clients, config)
         assert excinfo.value.client_id == 1
+        assert excinfo.value.round_index == 1
+
+    def test_server_side_overflow_aborts_without_numpy_warnings(self):
+        spec = preset_spec("canonical-noniid")
+        config = dataclasses.replace(spec.federation, global_scale=1e308)
+        train, heldout = spec.build_datasets()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RoundAbortedError) as excinfo:
+                run_federation(config, train, heldout)
+        assert excinfo.value.client_id is None
         assert excinfo.value.round_index == 1
 
 

@@ -7,63 +7,13 @@ from fedqr.linalg import (
     BasisError,
     RankError,
     ShapeError,
-    as_matrix,
     frobenius_norm,
     leading_qr,
-    matmul,
     slice_cols,
     slice_rows,
     subspace_residual,
     thin_qr,
 )
-
-
-def triple_loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for l in range(a.shape[1]):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(8.0).reshape(2, 4)
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_example(self):
-        lhs = as_matrix([[1, 2], [3, 4]])
-        rhs = as_matrix([[0], [1]])
-        assert np.array_equal(matmul(lhs, rhs), as_matrix([[2], [4]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        assert np.max(np.abs(matmul(a, b) - triple_loop_matmul(a, b))) <= 1e-12
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        m=st.integers(1, 6),
-        n=st.integers(1, 6),
-        p=st.integers(1, 6),
-        q=st.integers(1, 6),
-        seed=st.integers(0, 2**31),
-    )
-    def test_associativity(self, m, n, p, q, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, n))
-        b = rng.standard_normal((n, p))
-        c = rng.standard_normal((p, q))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = frobenius_norm(left) + 1.0
-        assert frobenius_norm(left - right) <= 1e-9 * scale
 
 
 class TestThinQr:
@@ -73,7 +23,7 @@ class TestThinQr:
         assert np.allclose(r, np.eye(3), atol=1e-15)
 
     def test_single_column(self):
-        q, r = thin_qr(as_matrix([[3.0], [4.0]]))
+        q, r = thin_qr(np.array([[3.0], [4.0]]))
         assert np.allclose(q, [[0.6], [0.8]], atol=1e-12)
         assert np.allclose(r, [[5.0]], atol=1e-12)
 
@@ -195,7 +145,7 @@ class TestFrobenius:
         assert frobenius_norm(np.zeros((3, 4))) == 0.0
 
     def test_three_four_five(self):
-        assert frobenius_norm(as_matrix([[3.0, 4.0]])) == pytest.approx(5.0, abs=1e-15)
+        assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0, abs=1e-15)
 
     def test_matches_sum_oracle(self):
         rng = np.random.default_rng(3)
