@@ -6,8 +6,9 @@ Library layout:
                   subspace residuals
 * ``adapter``     low-rank adapter pairs, the frozen base weight (``BaseWeight``),
                   QR-orthonormal initialization
-* ``model``       softmax-head functions on plain arrays: loss and gradients,
-                  accuracy, the optional frozen tanh features
+* ``model``       softmax-head functions on plain arrays: the factored head
+                  on cached frozen-base logits, the dense-weight oracles,
+                  the optional frozen tanh features
 * ``data``        synthetic blobs and Dirichlet non-IID partitioning
 * ``optim``       AdamW plus control-variate drift correction
 * ``aggregation`` concatenated-QR fusion and baseline aggregators

@@ -13,6 +13,10 @@ Conventions that keep the whole loop coherent:
 * Broadcast payloads are in true weight units (sample weights and adapter
   scaling folded in during aggregation), so installed adapters use scaling 1.
   The configured LoRA scaling therefore shapes the first round only.
+* The head is trained and evaluated in factored form: ``features @ base``
+  is computed once per federation (the frozen-logit cache) and every forward
+  adds only the low-rank term, so no d x k weight or weight gradient is
+  formed per batch.
 * Both protocol variants run the identical per-batch arithmetic; the plain
   variant simply never updates any control variate away from zero. This makes
   their first rounds bit-identical by construction.
@@ -28,13 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import (
-    BaseWeight,
-    LoraAdapter,
-    effective_weight,
-    factor_gradients,
-    qr_orthogonal_init,
-)
+from .adapter import BaseWeight, LoraAdapter, effective_weight, qr_orthogonal_init
 from .aggregation import (
     AggregationResult,
     ClientUpdate,
@@ -47,10 +45,18 @@ from .aggregation import (
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition
 from .linalg import slice_cols, slice_rows
-from .model import head_accuracy, head_loss_and_accuracy, head_loss_and_grads, model_features
+from .model import (
+    factored_logits,
+    factored_loss_and_grads,
+    logit_accuracy,
+    logit_loss_and_accuracy,
+    logit_loss_and_grad,
+    model_features,
+)
 from .optim import (
     AdamWState,
     ControlVariates,
+    NonFiniteGradientError,
     adamw_step,
     corrected_gradient,
     fresh_adamw_state,
@@ -60,6 +66,11 @@ from .optim import (
     slice_controls,
     zero_controls,
 )
+
+# the dense head, now only the oracle of the factored one, stays importable
+# from here: benchmarks/workloads.py traces these names in this module
+from .adapter import factor_gradients  # noqa: F401
+from .model import head_accuracy, head_loss_and_grads  # noqa: F401
 
 METHODS = ("ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack")
 QR_METHODS = ("ilora", "ilora_s")
@@ -72,8 +83,9 @@ _TAG_HIDDEN = 12
 _TAG_SAMPLING = 13
 _TAG_SHUFFLE = 14
 
-# the values run_round's nonfinite check tests are computed under this, so an
-# overflow reaches the caller as one RoundAbortedError, not as numpy warnings
+# client training and the values run_round's nonfinite check tests are
+# computed under this, so an overflow reaches the caller as one
+# RoundAbortedError, not as numpy warnings
 _quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
@@ -157,6 +169,7 @@ class ClientState:
     # the server's pooled training set
     features: np.ndarray
     labels: np.ndarray
+    rows: slice  # this shard's rows in the pooled training set
     base: BaseWeight
     adapter: LoraAdapter
     bias: np.ndarray
@@ -191,6 +204,9 @@ class ServerState:
     # ClientState holds a row view of its own shard
     pooled_train: tuple[np.ndarray, np.ndarray] | None = None
     heldout: tuple[np.ndarray, np.ndarray] | None = None
+    # read-only features @ base_frozen for the pooled training set and the
+    # held-out split (None without one); filled on first use, see _frozen_logits
+    frozen_logits: tuple[np.ndarray, np.ndarray | None] | None = None
     round_index: int = 0
 
 
@@ -334,6 +350,7 @@ def init_federation(
                 client_id=cid,
                 features=pooled_features[rows],
                 labels=pooled_labels[rows],
+                rows=rows,
                 base=base,
                 adapter=adapter,
                 bias=np.zeros((1, k)),
@@ -404,44 +421,64 @@ def _train_client(
     config: FederationConfig,
     round_index: int,
 ) -> ClientUpdate:
-    """Local epochs of (optionally drift-corrected) AdamW on one shard."""
+    """Local epochs of (optionally drift-corrected) AdamW on one shard.
+
+    Every batch runs the factored head on this client's row view of the
+    frozen-logit cache, so nothing of size d x k is formed. A nonfinite loss,
+    gradient or optimizer moment aborts the round for this client.
+    """
     global_ca, global_cb = slice_controls(server.global_controls, client.rank)
     track_controls = config.method == "ilora_s"
     round_delta_a = np.zeros_like(client.controls.c_a)
     round_delta_b = np.zeros_like(client.controls.c_b)
+    base_logits = _frozen_logits(server)[0][client.rows]
+    adapter = client.adapter
 
-    for batches in _shard_batches(client, config, round_index):
-        sum_ga = np.zeros_like(client.controls.c_a)
-        sum_gb = np.zeros_like(client.controls.c_b)
-        for idx in batches:
-            weight = client.effective_weight()
-            loss, wgrad, bgrad = head_loss_and_grads(
-                weight, client.bias, client.features[idx], client.labels[idx]
-            )
-            if not np.isfinite(loss):
-                raise RoundAbortedError(round_index, client.client_id, f"loss={loss}")
-            grad_b, grad_a = factor_gradients(client.adapter, wgrad)
-            sum_ga += grad_a
-            sum_gb += grad_b
-            tilde_a = corrected_gradient(grad_a, global_ca, client.controls.c_a)
-            tilde_b = corrected_gradient(grad_b, global_cb, client.controls.c_b)
-            new_a, client.state_a = adamw_step(client.adapter.a_factor, tilde_a, client.state_a)
-            new_b, client.state_b = adamw_step(client.adapter.b_factor, tilde_b, client.state_b)
-            client.adapter = LoraAdapter(new_b, new_a, client.rank, client.adapter.scaling)
-            client.bias, client.bias_state = adamw_step(client.bias, bgrad, client.bias_state)
-        if track_controls:
-            # control refresh per epoch, using the epoch-mean raw gradient
-            mean_ga = sum_ga / len(batches)
-            mean_gb = sum_gb / len(batches)
-            delta_a, client.controls.c_a = local_control_update(mean_ga, client.controls.c_a)
-            delta_b, client.controls.c_b = local_control_update(mean_gb, client.controls.c_b)
-            round_delta_a += delta_a
-            round_delta_b += delta_b
+    with _quiet_overflow():
+        for batches in _shard_batches(client, config, round_index):
+            sum_ga = np.zeros_like(client.controls.c_a)
+            sum_gb = np.zeros_like(client.controls.c_b)
+            for idx in batches:
+                loss, grad_b, grad_a, bgrad = factored_loss_and_grads(
+                    base_logits[idx],
+                    client.features[idx],
+                    adapter.b_factor,
+                    adapter.a_factor,
+                    adapter.scaling,
+                    client.bias,
+                    client.labels[idx],
+                )
+                if not np.isfinite(loss):
+                    raise RoundAbortedError(round_index, client.client_id, f"loss={loss}")
+                sum_ga += grad_a
+                sum_gb += grad_b
+                tilde_a = corrected_gradient(grad_a, global_ca, client.controls.c_a)
+                tilde_b = corrected_gradient(grad_b, global_cb, client.controls.c_b)
+                try:
+                    adapter.a_factor, client.state_a = adamw_step(
+                        adapter.a_factor, tilde_a, client.state_a
+                    )
+                    adapter.b_factor, client.state_b = adamw_step(
+                        adapter.b_factor, tilde_b, client.state_b
+                    )
+                    client.bias, client.bias_state = adamw_step(
+                        client.bias, bgrad, client.bias_state
+                    )
+                except NonFiniteGradientError as exc:
+                    raise RoundAbortedError(round_index, client.client_id, str(exc)) from exc
+            if track_controls:
+                # control refresh per epoch, using the epoch-mean raw gradient
+                mean_ga = sum_ga / len(batches)
+                mean_gb = sum_gb / len(batches)
+                delta_a, client.controls.c_a = local_control_update(mean_ga, client.controls.c_a)
+                delta_b, client.controls.c_b = local_control_update(mean_gb, client.controls.c_b)
+                round_delta_a += delta_a
+                round_delta_b += delta_b
 
     deltas = (round_delta_a, round_delta_b) if track_controls else None
     return ClientUpdate(
         client_id=client.client_id,
-        adapter=client.adapter.copy(),
+        adapter=adapter.copy(),
         sample_count=client.n_samples,
         control_deltas=deltas,
     )
@@ -487,7 +524,7 @@ def run_round(
             ) * BYTES_PER_FLOAT
 
     with _quiet_overflow():
-        grad_het = _gradient_heterogeneity(sampled)
+        grad_het = _gradient_heterogeneity(server, sampled)
 
     updates: list[ClientUpdate] = []
     bytes_up = 0
@@ -516,7 +553,9 @@ def run_round(
                 ]
             )
         )
-        train_loss, train_acc = _global_train_metrics(server)
+        train_loss, train_acc = logit_loss_and_accuracy(
+            _global_logits(server, config, "train"), server.pooled_train[1]
+        )
     checked = {
         "train_loss": train_loss,
         "drift": drift,
@@ -528,8 +567,8 @@ def run_round(
         raise RoundAbortedError(t, None, "nonfinite " + ", ".join(nonfinite))
     heldout_acc = None
     if server.heldout is not None:
-        heldout_acc = head_accuracy(
-            server.global_model, server.global_bias, server.heldout[0], server.heldout[1]
+        heldout_acc = logit_accuracy(
+            _global_logits(server, config, "heldout"), server.heldout[1]
         )
 
     server.round_index = t
@@ -547,15 +586,27 @@ def run_round(
     return server, metrics
 
 
-def _gradient_heterogeneity(sampled: list[ClientState]) -> float:
-    """Mean distance of per-client full-shard gradients from their weighted mean."""
+def _gradient_heterogeneity(server: ServerState, sampled: list[ClientState]) -> float:
+    """Mean distance of per-client full-shard gradients from their weighted mean.
+
+    Each client's gradient is the dense X_c^T G_c; its logits come from the
+    frozen-logit cache plus the client's low-rank term.
+    """
+    base_logits = _frozen_logits(server)[0]
     grads = []
     counts = []
     for client in sampled:
-        _, wgrad, _ = head_loss_and_grads(
-            client.effective_weight(), client.bias, client.features, client.labels
+        adapter = client.adapter
+        logits = factored_logits(
+            base_logits[client.rows],
+            client.features,
+            adapter.b_factor,
+            adapter.a_factor,
+            adapter.scaling,
+            client.bias,
         )
-        grads.append(wgrad)
+        _, delta = logit_loss_and_grad(logits, client.labels)
+        grads.append(client.features.T @ delta)
         counts.append(client.n_samples)
     weights = np.asarray(counts, dtype=np.float64)
     weights /= weights.sum()
@@ -602,12 +653,49 @@ def _fold_control_deltas(server, config, updates):
     )
 
 
-def _global_train_metrics(server: ServerState) -> tuple[float, float]:
-    """Global-model loss and accuracy over the whole training set, one forward."""
-    if server.pooled_train is None:
-        raise ValueError("server state has no pooled training set; build it with init_federation")
-    features, labels = server.pooled_train
-    return head_loss_and_accuracy(server.global_model, server.global_bias, features, labels)
+def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only ``features @ base_frozen`` of the pooled training set and held-out split.
+
+    The frozen base never changes during a federation, so this product is
+    formed once, on first use in round 1 (which evaluates the global model
+    anyway), rather than in ``init_federation``. Clients read row views of
+    the training block.
+    """
+    if server.frozen_logits is None:
+        if server.pooled_train is None:
+            raise ValueError(
+                "server state has no pooled training set; build it with init_federation"
+            )
+        blocks = []
+        for split in (server.pooled_train, server.heldout):
+            block = None
+            if split is not None:
+                block = split[0] @ server.base_frozen
+                block.flags.writeable = False
+            blocks.append(block)
+        server.frozen_logits = tuple(blocks)
+    return server.frozen_logits
+
+
+def _global_logits(server: ServerState, config: FederationConfig, split: str) -> np.ndarray:
+    """Global-model logits on the "train" (pooled) or "heldout" split, in factored form.
+
+    The global update's factor pair is the aggregate's Q/R for the QR
+    methods and the broadcast factor means or stack otherwise, scaled by
+    ``global_scale`` as in ``server.global_model``.
+    """
+    train_logits, heldout_logits = _frozen_logits(server)
+    if split == "train":
+        features, base_logits = server.pooled_train[0], train_logits
+    else:
+        features, base_logits = server.heldout[0], heldout_logits
+    if config.method in QR_METHODS:
+        b_factor, a_factor = server.last_result.q, server.last_result.r
+    else:
+        b_factor, a_factor = server.broadcast_factors
+    return factored_logits(
+        base_logits, features, b_factor, a_factor, config.global_scale, server.global_bias
+    )
 
 
 def run_federation(

@@ -3,8 +3,14 @@
 Two architectures: plain softmax regression on the raw features, or the same
 head on top of a frozen random tanh layer (``model_features``). Either way the
 adapted matrix sees a closed-form cross-entropy gradient, so no autodiff is
-needed. Every function takes the effective head weight, the bias, the
-features and the labels as plain arrays.
+needed. Every function takes plain arrays.
+
+Training and evaluation run the factored head: with W = W0 + s * B @ A and
+W0 frozen, the logits are ``X @ W0 + s * (X @ B) @ A + bias``, where
+``X @ W0`` is computed once per federation and cached, so neither the d x k
+weight nor its d x k gradient is ever formed. The ``head_*`` functions take
+the dense effective weight; they are the oracles the factored path is
+checked against.
 """
 
 from __future__ import annotations
@@ -22,65 +28,127 @@ def model_features(inputs: np.ndarray, hidden_weight: np.ndarray | None) -> np.n
     """Map raw inputs to the features seen by the adapted head weight."""
     if hidden_weight is None:
         return inputs
-    return np.tanh(inputs @ hidden_weight)
+    features = inputs @ hidden_weight
+    return np.tanh(features, out=features)
 
 
-def _softmax_cross_entropy(
-    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Logits, log-probabilities and mean cross-entropy of a linear softmax head.
+def _log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """Log-probabilities and mean cross-entropy of a batch of logits.
 
     Log-probabilities are computed with the usual max-shift so saturated
     logits stay finite.
     """
-    n = features.shape[0]
+    n = logits.shape[0]
     if n == 0:
         raise EmptyBatchError("cannot compute a loss on an empty batch")
-    if features.shape[1] != weight.shape[0]:
-        raise ShapeError(f"features {features.shape} vs weight {weight.shape}")
-    logits = features @ weight + bias
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_norm
     loss = float(-np.mean(log_probs[np.arange(n), labels]))
-    return logits, log_probs, loss
+    return log_probs, loss
+
+
+def logit_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its exact gradient with respect to the logits."""
+    log_probs, loss = _log_softmax_loss(logits, labels)
+    n = logits.shape[0]
+    delta = np.exp(log_probs)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    return loss, delta
+
+
+def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions."""
+    if logits.shape[0] == 0:
+        raise EmptyBatchError("cannot evaluate an empty batch")
+    # np.argmax takes the first maximum, i.e. ties resolve to the lowest class
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def logit_loss_and_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy and argmax accuracy of one batch of logits."""
+    _, loss = _log_softmax_loss(logits, labels)
+    return loss, logit_accuracy(logits, labels)
+
+
+def _factored_forward(
+    base_logits: np.ndarray,
+    features: np.ndarray,
+    b_factor: np.ndarray,
+    a_factor: np.ndarray,
+    scaling: float,
+    bias: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    projected = features @ b_factor
+    return base_logits + scaling * (projected @ a_factor) + bias, projected
+
+
+def factored_logits(
+    base_logits: np.ndarray,
+    features: np.ndarray,
+    b_factor: np.ndarray,
+    a_factor: np.ndarray,
+    scaling: float,
+    bias: np.ndarray,
+) -> np.ndarray:
+    """Logits of the head W0 + scaling * B @ A, given ``base_logits = features @ W0``."""
+    return _factored_forward(base_logits, features, b_factor, a_factor, scaling, bias)[0]
+
+
+def factored_loss_and_grads(
+    base_logits: np.ndarray,
+    features: np.ndarray,
+    b_factor: np.ndarray,
+    a_factor: np.ndarray,
+    scaling: float,
+    bias: np.ndarray,
+    labels: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the factored head, with exact factor gradients.
+
+    With G = dL/dlogits: dL/dB = scaling * X^T (G A^T), dL/dA =
+    scaling * (X B)^T G and dL/dbias = sum_rows G. Returns (loss, dL/dB,
+    dL/dA, dL/dbias); nothing of size d x k is formed.
+    """
+    logits, projected = _factored_forward(
+        base_logits, features, b_factor, a_factor, scaling, bias
+    )
+    loss, delta = logit_loss_and_grad(logits, labels)
+    grad_b = scaling * (features.T @ (delta @ a_factor.T))
+    grad_a = scaling * (projected.T @ delta)
+    return loss, grad_b, grad_a, delta.sum(axis=0, keepdims=True)
+
+
+def _dense_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray) -> np.ndarray:
+    if features.shape[1] != weight.shape[0]:
+        raise ShapeError(f"features {features.shape} vs weight {weight.shape}")
+    return features @ weight + bias
 
 
 def head_loss_and_grads(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of a linear softmax head, with exact gradients.
+    """Dense oracle: mean cross-entropy with the exact d x k weight gradient.
 
     Returns (loss, dL/dweight, dL/dbias).
     """
-    _, log_probs, loss = _softmax_cross_entropy(weight, bias, features, labels)
-    n = features.shape[0]
-    delta = np.exp(log_probs)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    weight_grad = features.T @ delta
-    bias_grad = delta.sum(axis=0, keepdims=True)
-    return loss, weight_grad, bias_grad
+    loss, delta = logit_loss_and_grad(_dense_logits(weight, bias, features), labels)
+    return loss, features.T @ delta, delta.sum(axis=0, keepdims=True)
 
 
 def head_loss_and_accuracy(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy from one forward product.
+    """Dense oracle: mean cross-entropy and argmax accuracy from one forward.
 
-    Bit-identical to ``head_loss_and_grads(...)[0]`` and ``head_accuracy(...)``;
-    the accuracy is read off the raw logits, so ties resolve as there.
+    Bit-identical to ``head_loss_and_grads(...)[0]`` and ``head_accuracy(...)``.
     """
-    logits, _, loss = _softmax_cross_entropy(weight, bias, features, labels)
-    return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
+    return logit_loss_and_accuracy(_dense_logits(weight, bias, features), labels)
 
 
 def head_accuracy(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of argmax-correct predictions."""
-    if features.shape[0] == 0:
-        raise EmptyBatchError("cannot evaluate an empty batch")
-    # np.argmax takes the first maximum, i.e. ties resolve to the lowest class
-    predictions = np.argmax(features @ weight + bias, axis=1)
-    return float(np.mean(predictions == labels))
+    """Dense oracle: fraction of argmax-correct predictions."""
+    return logit_accuracy(_dense_logits(weight, bias, features), labels)

@@ -10,7 +10,7 @@ rank and moved between ranks by leading-slice / zero-pad embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,26 +58,35 @@ def fresh_adamw_state(
 def adamw_step(
     param: np.ndarray, grad: np.ndarray, state: AdamWState
 ) -> tuple[np.ndarray, AdamWState]:
-    """One AdamW update; returns the new parameter and advanced state.
+    """One AdamW update; returns a new parameter array and ``state``, advanced in place.
 
     param <- param - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * param)
-    with bias-corrected m_hat, v_hat.
+    with bias-corrected m_hat, v_hat. The moments are updated in place, so
+    ``state`` must not be shared between parameters. A gradient whose square
+    is not finite (a NaN or Inf entry, or one so large the second moment
+    would overflow) raises ``NonFiniteGradientError`` before ``state`` changes.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"param {param.shape}, grad {grad.shape} and state {state.m.shape} must agree"
         )
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradientError("gradient contains NaN or Inf")
-    step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(grad)
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
+    with np.errstate(over="ignore"):
+        grad_sq = np.square(grad)
+    if not np.all(np.isfinite(grad_sq)):
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteGradientError("gradient contains NaN or Inf")
+        raise NonFiniteGradientError("second moment overflows: gradient squared is not finite")
+    state.step += 1
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad_sq
+    m_hat = state.m / (1.0 - state.beta1**state.step)
+    v_hat = state.v / (1.0 - state.beta2**state.step)
     new_param = param - state.lr * (
         m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * param
     )
-    return new_param, replace(state, m=m, v=v, step=step)
+    return new_param, state
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .federation import (
     run_round,
 )
 from .linalg import frobenius_norm, subspace_residual, thin_qr
-from .model import head_loss_and_grads
+from .model import factored_loss_and_grads, head_loss_and_grads
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
 
@@ -219,7 +219,7 @@ def _relative_error(analytic: float, numeric: float) -> float:
 
 
 def check_gradient_correctness() -> CheckResult:
-    """Factor and full-weight gradients against central finite differences."""
+    """Factor, full-weight and factored-head gradients against central differences."""
     rng = np.random.default_rng(44)
     start = time.perf_counter()
     h = 1e-5
@@ -274,13 +274,47 @@ def check_gradient_correctness() -> CheckResult:
             weight[i, j] += h
             fd = (up - down) / (2 * h)
             worst_weight = max(worst_weight, _relative_error(weight_grad[i, j], fd))
+
+    # B and A gradients of the factored softmax head, the training path
+    worst_factored = 0.0
+    for _ in range(50):
+        d = int(rng.integers(4, 10))
+        k = int(rng.integers(3, 8))
+        r = int(rng.integers(1, min(d, k) + 1))
+        n = int(rng.integers(3, 12))
+        scaling = float(rng.uniform(0.5, 3.0))
+        features = rng.standard_normal((n, d))
+        base_logits = features @ (0.5 * rng.standard_normal((d, k)))
+        b_factor = 0.5 * rng.standard_normal((d, r))
+        a_factor = 0.5 * rng.standard_normal((r, k))
+        bias = 0.1 * rng.standard_normal((1, k))
+        labels = rng.integers(0, k, size=n)
+        # the factors are bumped in place, so these arguments always see them
+        args = (base_logits, features, b_factor, a_factor, scaling, bias, labels)
+        _, grad_b, grad_a, _ = factored_loss_and_grads(*args)
+        for grad, mat in ((grad_b, b_factor), (grad_a, a_factor)):
+            for _ in range(10):
+                i = int(rng.integers(mat.shape[0]))
+                j = int(rng.integers(mat.shape[1]))
+                mat[i, j] += h
+                up = factored_loss_and_grads(*args)[0]
+                mat[i, j] -= 2 * h
+                down = factored_loss_and_grads(*args)[0]
+                mat[i, j] += h
+                fd = (up - down) / (2 * h)
+                worst_factored = max(worst_factored, _relative_error(grad[i, j], fd))
     elapsed = time.perf_counter() - start
-    passed = worst_factor <= 1e-5 and worst_weight <= 1e-5 and elapsed < 10.0
+    passed = (
+        worst_factor <= 1e-5
+        and worst_weight <= 1e-5
+        and worst_factored <= 1e-5
+        and elapsed < 10.0
+    )
     return CheckResult(
         "gradient_correctness",
         passed,
-        f"worst relative error: factors {worst_factor:.3e}, weights {worst_weight:.3e} "
-        f"(tol 1e-5), {elapsed:.2f}s (limit 10s)",
+        f"worst relative error: factors {worst_factor:.3e}, weights {worst_weight:.3e}, "
+        f"factored head B/A {worst_factored:.3e} (tol 1e-5), {elapsed:.2f}s (limit 10s)",
     )
 
 

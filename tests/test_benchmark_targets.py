@@ -33,3 +33,16 @@ def test_every_trace_target_resolves():
     for module, attr, span, _ in targets:
         assert module.__name__.startswith("fedqr."), span
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({span})"
+
+
+def test_wide_hetero_workload_rounds_pass_their_own_checks():
+    # set-up plus three rounds of the benchmark's factored-head workload,
+    # checked by the workload itself (finite metrics, bytes, global model)
+    workload = load_workloads().WideHeteroWorkload(seed=1)
+    state = workload.setup(0)
+    for index in range(3):
+        inputs = workload.prepare(state, index)
+        metrics = workload.step(state, inputs)
+        record, problems = workload.check(state, inputs, metrics)
+        assert problems == [], (index, problems)
+        assert record["round"] == index + 1

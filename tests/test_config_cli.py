@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -182,6 +183,24 @@ class TestRunExperiment:
         assert record["round"] == 1
         assert record["client"] is None
         assert record["error"].startswith("round 1, server: nonfinite train_loss=")
+
+
+    def test_client_side_overflow_aborts_with_client_record(self, tmp_path):
+        # a huge LoRA scaling overflows AdamW's second moment in client 0's
+        # first step; the round aborts there, before any numpy warning
+        spec = preset_spec("canonical-noniid")
+        spec.federation = dataclasses.replace(spec.federation, lora_scaling=1e300)
+        spec.output_path = str(tmp_path / "overflow.jsonl")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run_experiment(spec) == 1
+        record = json.loads(pathlib.Path(spec.output_path).read_text())
+        assert record["aborted"] is True
+        assert record["round"] == 1
+        assert record["client"] == 0
+        assert record["error"] == (
+            "round 1, client 0: second moment overflows: gradient squared is not finite"
+        )
 
 
 class TestCliMain:

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from fedqr import adapter, federation, model
 from fedqr.config import preset_spec
 from fedqr.data import dirichlet_partition, generate_blobs
 from fedqr.federation import (
+    METHODS,
     ConfigError,
     FederationConfig,
     RoundAbortedError,
@@ -19,7 +21,7 @@ from fedqr.federation import (
     sampled_count,
 )
 from fedqr.linalg import frobenius_norm, subspace_residual, thin_qr
-from fedqr.model import head_accuracy, head_loss_and_grads
+from fedqr.model import head_accuracy, head_loss_and_accuracy, head_loss_and_grads
 
 
 def small_config(**overrides):
@@ -325,6 +327,109 @@ class TestRounds:
                 run_federation(config, train, heldout)
         assert excinfo.value.client_id is None
         assert excinfo.value.round_index == 1
+
+
+def dense_oracle_guard(monkeypatch):
+    """Make every dense-head function raise while local training runs."""
+    train = federation._train_client
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local training formed a d x k weight or weight gradient")
+
+    def guarded(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            for module in (federation, adapter, model):
+                for name in ("effective_weight", "head_loss_and_grads", "factor_gradients"):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, forbidden)
+            return train(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "_train_client", guarded)
+
+
+class TestFactoredHead:
+    """Local training and global metrics run on the frozen-logit cache."""
+
+    def test_local_training_forms_no_dense_weight(self, monkeypatch):
+        config = small_config(method="ilora_s", hidden_dim=10, rounds=2, local_epochs=2)
+        ds = small_dataset(config, d_in=12)
+        expected = run_federation(config, ds)
+        dense_oracle_guard(monkeypatch)
+        guarded = run_federation(config, ds)
+        assert [m.to_dict() for m in guarded] == [m.to_dict() for m in expected]
+
+    def test_cache_is_filled_once_read_only_and_exact(self):
+        config = small_config(hidden_dim=10, rounds=3)
+        ds = small_dataset(config, d_in=12)
+        heldout = generate_blobs(8, 10, 12, 0.3, 999)
+        server, clients = init_federation(config, ds, eval_dataset=heldout)
+        assert server.frozen_logits is None  # not filled at init
+        server, _ = run_round(server, clients, config)
+        cache = server.frozen_logits
+        train_block, heldout_block = cache
+        for block, features in (
+            (train_block, server.pooled_train[0]),
+            (heldout_block, server.heldout[0]),
+        ):
+            assert block.tobytes() == (features @ server.base_frozen).tobytes()
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+        for _ in range(2):
+            server, _ = run_round(server, clients, config)
+            assert server.frozen_logits is cache
+            assert server.frozen_logits[0] is train_block
+            assert server.frozen_logits[1] is heldout_block
+
+    def test_clients_read_row_views_of_the_cache(self, monkeypatch):
+        config = small_config(rounds=1)
+        server, clients = init_federation(config, small_dataset(config))
+        batches = []
+        factored = federation.factored_loss_and_grads
+
+        def record(base_logits, features, *args):
+            batches.append((base_logits, features))
+            return factored(base_logits, features, *args)
+
+        monkeypatch.setattr(federation, "factored_loss_and_grads", record)
+        run_round(server, clients, config)
+        train_block = server.frozen_logits[0]
+        pooled = server.pooled_train[0]
+        for client in clients:
+            assert np.shares_memory(train_block[client.rows], train_block)
+            assert client.features.ctypes.data == pooled[client.rows].ctypes.data
+        # each batch's base logits are the cached rows of that batch's samples
+        cached = {x.tobytes(): row.tobytes() for x, row in zip(pooled, train_block)}
+        assert len(cached) == pooled.shape[0]
+        assert batches
+        for base_logits, features in batches:
+            for x, row in zip(features, base_logits):
+                assert cached[x.tobytes()] == row.tobytes()
+
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_global_metrics_match_dense_evaluation(self, method, participation):
+        ranks = (4, 4, 4, 4) if method == "fedit_avg" else (2, 3, 4, 4)
+        config = small_config(
+            method=method, client_ranks=ranks, participation=participation,
+            hidden_dim=10, rounds=3, global_scale=0.5,
+        )
+        ds = small_dataset(config, d_in=12)
+        heldout = generate_blobs(8, 10, 12, 0.3, 999)
+        server, clients = init_federation(config, ds, eval_dataset=heldout)
+        records = []
+        for _ in range(config.rounds):
+            server, metrics = run_round(server, clients, config)
+            weight, bias = server.global_model, server.global_bias
+            loss, accuracy = head_loss_and_accuracy(weight, bias, *server.pooled_train)
+            assert metrics.train_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+            assert metrics.train_accuracy == pytest.approx(accuracy, abs=1e-12)
+            assert metrics.heldout_accuracy == pytest.approx(
+                head_accuracy(weight, bias, *server.heldout), abs=1e-12
+            )
+            records.append(json.dumps(metrics.to_dict()))
+        rerun = run_federation(config, ds, heldout)
+        assert [json.dumps(m.to_dict()) for m in rerun] == records
 
 
 class TestRunFederation:

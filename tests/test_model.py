@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedqr.linalg import ShapeError
+from fedqr.adapter import BaseWeight, LoraAdapter, effective_weight, factor_gradients
+from fedqr.linalg import ShapeError, frobenius_norm
 from fedqr.model import (
     EmptyBatchError,
+    factored_logits,
+    factored_loss_and_grads,
     head_accuracy,
     head_loss_and_accuracy,
     head_loss_and_grads,
@@ -160,6 +163,66 @@ class TestHeadLossAndAccuracy:
         with pytest.raises(ShapeError):
             head_loss_and_accuracy(
                 np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((4, 5)), np.zeros(4, dtype=int)
+            )
+
+
+def relative_gap(got, want) -> float:
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    return frobenius_norm(got - want) / max(frobenius_norm(want), 1e-300)
+
+
+class TestFactoredHead:
+    """``factored_loss_and_grads`` against the dense head and ``factor_gradients``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d_in=st.integers(1, 12),
+        hidden=st.one_of(st.none(), st.integers(1, 16)),
+        k=st.integers(1, 9),
+        scaling=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    def test_matches_dense_oracle(self, n, d_in, hidden, k, scaling, seed, data):
+        rng = np.random.default_rng(seed)
+        hidden_weight = None
+        if hidden is not None:
+            hidden_weight = rng.standard_normal((d_in, hidden)) / np.sqrt(d_in)
+        features = model_features(rng.standard_normal((n, d_in)), hidden_weight)
+        d = features.shape[1]
+        rank = data.draw(st.integers(1, min(d, k)), label="rank")
+        base = BaseWeight(frozen=rng.standard_normal((d, k)) / np.sqrt(d))
+        adapter = LoraAdapter(
+            rng.standard_normal((d, rank)) / np.sqrt(d),
+            rng.standard_normal((rank, k)) / np.sqrt(rank),
+            rank,
+            scaling,
+        )
+        bias = 0.1 * rng.standard_normal((1, k))
+        labels = rng.integers(0, k, size=n)
+
+        loss, grad_b, grad_a, grad_bias = factored_loss_and_grads(
+            features @ base.frozen, features, adapter.b_factor, adapter.a_factor,
+            scaling, bias, labels,
+        )
+        weight = effective_weight(base, adapter)
+        want_loss, weight_grad, want_bias = head_loss_and_grads(weight, bias, features, labels)
+        want_b, want_a = factor_gradients(adapter, weight_grad)
+        assert relative_gap(loss, want_loss) <= 1e-12
+        assert relative_gap(grad_b, want_b) <= 1e-12
+        assert relative_gap(grad_a, want_a) <= 1e-12
+        assert relative_gap(grad_bias, want_bias) <= 1e-12
+        logits = factored_logits(
+            features @ base.frozen, features, adapter.b_factor, adapter.a_factor, scaling, bias
+        )
+        assert relative_gap(logits, features @ weight + bias) <= 1e-12
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(EmptyBatchError):
+            factored_loss_and_grads(
+                np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((3, 1)), np.zeros((1, 2)),
+                1.0, np.zeros((1, 2)), np.zeros(0, dtype=int),
             )
 
 

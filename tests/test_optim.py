@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,34 @@ class TestAdamW:
         state = fresh_adamw_state((1, 1))
         with pytest.raises(NonFiniteGradientError):
             adamw_step(np.zeros((1, 1)), np.array([[np.inf]]), state)
+
+    def test_state_advances_in_place_and_param_is_new(self):
+        rng = np.random.default_rng(41)
+        param = rng.standard_normal((3, 2))
+        grad = rng.standard_normal((3, 2))
+        param_before = param.copy()
+        state = fresh_adamw_state(param.shape, lr=0.01)
+        m, v = state.m, state.v
+        new_param, new_state = adamw_step(param, grad, state)
+        # the state object and its moment arrays are advanced in place
+        assert new_state is state
+        assert state.m is m and state.v is v
+        assert state.step == 1
+        assert np.array_equal(m, (1.0 - 0.9) * grad)
+        assert np.array_equal(v, (1.0 - 0.999) * np.square(grad))
+        # the parameter is returned as a new array; the input is untouched
+        assert not np.shares_memory(new_param, param)
+        assert np.array_equal(param, param_before)
+        assert not np.array_equal(new_param, param)
+
+    def test_overflowing_second_moment_raises_before_state_changes(self):
+        state = fresh_adamw_state((1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradientError, match="second moment"):
+                adamw_step(np.zeros((1, 2)), np.array([[1.0, 1e300]]), state)
+        assert state.step == 0
+        assert not state.m.any() and not state.v.any()
 
     def test_step_counter_increments_by_one(self):
         state = fresh_adamw_state((1, 1))
