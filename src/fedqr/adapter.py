@@ -84,7 +84,8 @@ def qr_orthogonal_init(
     q, r, _ = leading_qr(theta0, base_rank)
     b = slice_cols(q, client_rank)
     a = slice_rows(r, client_rank)
-    frozen = theta0 - q @ r
+    frozen = q @ r
+    np.subtract(theta0, frozen, out=frozen)
     frozen.flags.writeable = False
     if scaling is None:
         scaling = DEFAULT_LORA_ALPHA / client_rank

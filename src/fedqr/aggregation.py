@@ -94,12 +94,15 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
     dense factorization's discarded block R[r_s:, :]. The identity
     ||delta - B_s A_s||_F = truncation error is re-verified on every call;
     the two column blocks are disjoint, so only the leading block's residual
-    is recomputed.
+    is recomputed. Its tolerance scales with hypot(||R||_F, truncation
+    error), which equals ||delta||_F in exact arithmetic because Q is
+    orthonormal, and which needs no further pass over delta.
     """
     q, r, truncation_error = leading_qr(delta, server_rank)
     head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
     residual = float(np.hypot(head_residual, truncation_error))
-    if abs(residual - truncation_error) > 1e-9 * (1.0 + frobenius_norm(delta)):
+    scale = float(np.hypot(frobenius_norm(r), truncation_error))
+    if abs(residual - truncation_error) > 1e-9 * (1.0 + scale):
         raise ArithmeticError(
             f"truncation identity violated: residual {residual!r} vs "
             f"trailing-block norm {truncation_error!r}"
@@ -129,10 +132,19 @@ def personalize(result: AggregationResult, client_rank: int) -> LoraAdapter:
 def apply_global(
     theta0: np.ndarray, result: AggregationResult, global_scale: float = 1.0
 ) -> np.ndarray:
+    """New array ``theta0 + global_scale * B_s A_s`` for the server adapter's factors.
+
+    The product is scaled and shifted in place, so only one d x k array is
+    written; + and * commute in IEEE arithmetic, so the bits are those of the
+    expression.
+    """
     adapter = result.server_adapter
     if adapter.shape != theta0.shape:
         raise ShapeError(f"update {adapter.shape} does not match weight {theta0.shape}")
-    return theta0 + global_scale * (adapter.b_factor @ adapter.a_factor)
+    model = adapter.b_factor @ adapter.a_factor
+    model *= global_scale
+    model += theta0
+    return model
 
 
 def factor_means(

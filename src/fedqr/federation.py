@@ -44,7 +44,7 @@ from .aggregation import (
     qr_compress,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition
-from .linalg import slice_cols, slice_rows
+from .linalg import NonFiniteError, slice_cols, slice_rows
 from .model import (
     factored_logits,
     factored_loss_and_grads,
@@ -538,7 +538,10 @@ def run_round(
             bytes_up += sum(d.size for d in update.control_deltas) * BYTES_PER_FLOAT
 
     with _quiet_overflow():
-        truncation_error = _aggregate(server, config, updates)
+        try:
+            truncation_error = _aggregate(server, config, updates)
+        except NonFiniteError as exc:
+            raise RoundAbortedError(t, None, f"nonfinite aggregate: {exc}") from exc
 
     weights = np.array([u.sample_count for u in updates], dtype=np.float64)
     weights /= weights.sum()

@@ -22,6 +22,10 @@ class BasisError(ValueError):
     """A matrix expected to have orthonormal columns does not."""
 
 
+class NonFiniteError(ValueError):
+    """A matrix to be factorized contains NaN or Inf."""
+
+
 def thin_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Economy QR factorization with a deterministic sign convention.
 
@@ -30,12 +34,12 @@ def thin_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flipped so every diagonal entry of R is nonnegative; this removes the sign
     ambiguity of Householder QR and makes repeated factorizations of the same
     input bit-identical. Rank-deficient input is legal (trailing diagonal of R
-    is zero or near zero).
+    is zero or near zero); a NaN or Inf entry raises ``NonFiniteError``.
     """
     if m.ndim != 2:
         raise ShapeError("thin_qr expects a 2-D matrix")
     if not np.all(np.isfinite(m)):
-        raise ValueError("thin_qr input contains NaN or Inf")
+        raise NonFiniteError("thin_qr input contains NaN or Inf")
     q, r = np.linalg.qr(m, mode="reduced")
     # flip only strictly negative diagonal entries; zeros stay untouched
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
@@ -55,18 +59,33 @@ def leading_qr(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, float]
     block, and tail_norm = ||m[:, rank:] - Q R[:, rank:]||_F, which equals
     ||R_full[rank:, :]||_F of the dense factorization in exact arithmetic.
     Costs O(rows * cols * rank) instead of the dense O(rows * cols^2).
+
+    R is written into one preallocated array, and the trailing residual is
+    formed, squared and summed in the one rows x (cols - rank) buffer that
+    holds ``Q R[:, rank:]``. A NaN or Inf in the input raises
+    ``NonFiniteError``: ``thin_qr`` checks the leading columns, and one in a
+    trailing column always makes the residual's sum nonfinite, which is the
+    only case that pays for a full finiteness test. Finite input whose
+    residual overflows returns a nonfinite tail_norm, without a numpy warning.
     """
     if m.ndim != 2:
         raise ShapeError("leading_qr expects a 2-D matrix")
     if not 0 < rank <= min(m.shape):
         raise RankError(f"cannot take rank {rank} from shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("leading_qr input contains NaN or Inf")
     q, r_head = thin_qr(m[:, :rank])
     trailing = m[:, rank:]
-    r_right = q.T @ trailing
-    tail_norm = frobenius_norm(trailing - q @ r_right)
-    return q, np.hstack([r_head, r_right]), tail_norm
+    r = np.empty((rank, m.shape[1]))
+    r[:, :rank] = r_head
+    r_right = r[:, rank:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(q.T, trailing, out=r_right)
+        residual = q @ r_right
+        np.subtract(trailing, residual, out=residual)
+        np.square(residual, out=residual)
+        tail_sq = np.sum(residual)
+    if not np.isfinite(tail_sq) and not np.all(np.isfinite(m)):
+        raise NonFiniteError("leading_qr input contains NaN or Inf")
+    return q, r, float(np.sqrt(tail_sq))
 
 
 def frobenius_norm(m: np.ndarray) -> float:

@@ -137,16 +137,6 @@ def head_loss_and_grads(
     return loss, features.T @ delta, delta.sum(axis=0, keepdims=True)
 
 
-def head_loss_and_accuracy(
-    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, float]:
-    """Dense oracle: mean cross-entropy and argmax accuracy from one forward.
-
-    Bit-identical to ``head_loss_and_grads(...)[0]`` and ``head_accuracy(...)``.
-    """
-    return logit_loss_and_accuracy(_dense_logits(weight, bias, features), labels)
-
-
 def head_accuracy(
     weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> float:

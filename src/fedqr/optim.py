@@ -134,7 +134,11 @@ def local_control_update(
 
 
 def server_control_aggregate(global_c: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
-    """Fold the unweighted mean of client deltas into the global control."""
+    """Fold the unweighted mean of client deltas into the global control.
+
+    Returns a new array, summed in place in client order; ``global_c`` is
+    left unchanged.
+    """
     if not deltas:
         raise ValueError("cannot aggregate an empty list of control deltas")
     for delta in deltas:
@@ -144,8 +148,10 @@ def server_control_aggregate(global_c: np.ndarray, deltas: list[np.ndarray]) -> 
             )
     total = np.zeros_like(global_c)
     for delta in deltas:
-        total = total + delta
-    return global_c + total / len(deltas)
+        total += delta
+    total /= len(deltas)
+    total += global_c
+    return total
 
 
 def slice_controls(

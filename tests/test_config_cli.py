@@ -171,7 +171,6 @@ class TestRunExperiment:
         assert record["round"] == 2
         assert record["client"] == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_global_metrics_abort_server_side(self, tmp_path):
         spec = fast_spec(tmp_path)
         spec.federation = dataclasses.replace(spec.federation, global_scale=1e308)

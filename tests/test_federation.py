@@ -21,7 +21,7 @@ from fedqr.federation import (
     sampled_count,
 )
 from fedqr.linalg import frobenius_norm, subspace_residual, thin_qr
-from fedqr.model import head_accuracy, head_loss_and_accuracy, head_loss_and_grads
+from fedqr.model import head_accuracy, head_loss_and_grads
 
 
 def small_config(**overrides):
@@ -328,6 +328,30 @@ class TestRounds:
         assert excinfo.value.client_id is None
         assert excinfo.value.round_index == 1
 
+    @pytest.mark.parametrize("method", ["ilora", "ilora_s", "full_stack"])
+    def test_nonfinite_aggregate_aborts_server_side(self, monkeypatch, method):
+        # finite uploads whose fused product overflows to Inf reach the QR
+        spec = preset_spec("canonical-noniid")
+        config = dataclasses.replace(spec.federation, method=method)
+        train_client = federation._train_client
+
+        def huge_factors(*args, **kwargs):
+            update = train_client(*args, **kwargs)
+            update.adapter.b_factor = np.full_like(update.adapter.b_factor, 1e200)
+            update.adapter.a_factor = np.full_like(update.adapter.a_factor, 1e200)
+            return update
+
+        monkeypatch.setattr(federation, "_train_client", huge_factors)
+        train, heldout = spec.build_datasets()
+        server, clients = init_federation(config, train, eval_dataset=heldout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RoundAbortedError) as excinfo:
+                run_round(server, clients, config)
+        assert excinfo.value.client_id is None
+        assert excinfo.value.round_index == 1
+        assert "nonfinite aggregate" in str(excinfo.value)
+
 
 def dense_oracle_guard(monkeypatch):
     """Make every dense-head function raise while local training runs."""
@@ -421,7 +445,8 @@ class TestFactoredHead:
         for _ in range(config.rounds):
             server, metrics = run_round(server, clients, config)
             weight, bias = server.global_model, server.global_bias
-            loss, accuracy = head_loss_and_accuracy(weight, bias, *server.pooled_train)
+            loss = head_loss_and_grads(weight, bias, *server.pooled_train)[0]
+            accuracy = head_accuracy(weight, bias, *server.pooled_train)
             assert metrics.train_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
             assert metrics.train_accuracy == pytest.approx(accuracy, abs=1e-12)
             assert metrics.heldout_accuracy == pytest.approx(

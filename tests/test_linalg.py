@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedqr.linalg import (
     BasisError,
+    NonFiniteError,
     RankError,
     ShapeError,
     frobenius_norm,
@@ -134,6 +135,23 @@ class TestLeadingQr:
         m[0, 2] = np.inf
         with pytest.raises(ValueError, match="NaN or Inf"):
             leading_qr(m, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_rejects_nonfinite_entry_in_any_column(self, column, value):
+        # rank 2: column 0 is in the head block, columns 2 and 4 trail it
+        m = np.random.default_rng(7).standard_normal((6, 5))
+        m[3, column] = value
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            leading_qr(m, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residual_returns_inf(self):
+        m = 1e200 * np.random.default_rng(8).standard_normal((6, 5))
+        q, r, tail_norm = leading_qr(m, 2)
+        assert tail_norm == np.inf
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):

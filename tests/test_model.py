@@ -10,8 +10,8 @@ from fedqr.model import (
     factored_logits,
     factored_loss_and_grads,
     head_accuracy,
-    head_loss_and_accuracy,
     head_loss_and_grads,
+    logit_loss_and_accuracy,
     model_features,
 )
 
@@ -92,6 +92,14 @@ class TestForwardLoss:
         with pytest.raises(EmptyBatchError):
             head_accuracy(weight, bias, features, labels)
 
+    def test_shape_mismatch_rejected(self):
+        weight, bias = make_head(12)
+        features, labels = np.zeros((4, 5)), np.zeros(4, dtype=int)
+        with pytest.raises(ShapeError):
+            head_loss_and_grads(weight, bias, features, labels)
+        with pytest.raises(ShapeError):
+            head_accuracy(weight, bias, features, labels)
+
 
 class TestEvaluate:
     """``head_accuracy``: argmax accuracy, ties toward the lowest class."""
@@ -127,7 +135,7 @@ class TestEvaluate:
         assert accuracy == pytest.approx(correct / len(labels))
 
 
-class TestHeadLossAndAccuracy:
+class TestLogitLossAndAccuracy:
     @settings(max_examples=200, deadline=None)
     @given(
         kind=st.sampled_from(["generic", "tied", "saturated"]),
@@ -150,20 +158,14 @@ class TestHeadLossAndAccuracy:
             weight *= 1e3
             bias[0, rng.integers(0, k)] += 1e6
         labels = rng.integers(0, k, size=n)
-        loss, accuracy = head_loss_and_accuracy(weight, bias, features, labels)
+        loss, accuracy = logit_loss_and_accuracy(features @ weight + bias, labels)
         assert loss == head_loss_and_grads(weight, bias, features, labels)[0]
         assert accuracy == head_accuracy(weight, bias, features, labels)
         assert np.isfinite(loss)
 
-    def test_rejects_empty_batch_and_shape_mismatch(self):
+    def test_rejects_empty_batch(self):
         with pytest.raises(EmptyBatchError):
-            head_loss_and_accuracy(
-                np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int)
-            )
-        with pytest.raises(ShapeError):
-            head_loss_and_accuracy(
-                np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((4, 5)), np.zeros(4, dtype=int)
-            )
+            logit_loss_and_accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 def relative_gap(got, want) -> float:
