@@ -85,7 +85,9 @@ def generate_blobs(
     labels = np.repeat(np.arange(n_classes), samples_per_class)
     means = np.zeros((n_classes, d_in))
     means[np.arange(n_classes), np.arange(n_classes)] = 1.0 / np.sqrt(2.0)
-    features = means[labels] + spread * rng.standard_normal((n, d_in))
+    features = rng.standard_normal((n, d_in))
+    features *= spread
+    features += means[labels]
     order = rng.permutation(n)
     return Dataset(features=features[order], labels=labels[order], n_classes=n_classes)
 
@@ -109,14 +111,15 @@ def dirichlet_partition(
         raise PartitionError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
     assignments = np.empty(n, dtype=np.int64)
-    for c in range(ds.n_classes):
-        idx = np.flatnonzero(ds.labels == c)
-        idx = rng.permutation(idx)
+    clients = np.arange(n_clients)
+    # one stable sort lists every class's sample indices in ascending order
+    by_class = np.argsort(ds.labels, kind="stable")
+    class_ends = np.cumsum(np.bincount(ds.labels, minlength=ds.n_classes))
+    for start, end in zip(np.concatenate(([0], class_ends[:-1])), class_ends):
+        idx = rng.permutation(by_class[start:end])
         proportions = rng.dirichlet(np.full(n_clients, alpha))
         counts = rng.multinomial(idx.shape[0], proportions)
-        boundaries = np.cumsum(counts)[:-1]
-        for client, chunk in enumerate(np.split(idx, boundaries)):
-            assignments[chunk] = client
+        assignments[idx] = np.repeat(clients, counts)
     client_counts = np.bincount(assignments, minlength=n_clients)
     # repair: empty clients steal one sample from the current largest client
     while np.any(client_counts == 0):
@@ -127,6 +130,28 @@ def dirichlet_partition(
         client_counts[donor] -= 1
         client_counts[empty] += 1
     return PartitionPlan(assignments=assignments, client_counts=client_counts, alpha=alpha)
+
+
+def permute_rows(array: np.ndarray, order: np.ndarray) -> None:
+    """``array[:] = array[order]`` in place, with one row of scratch.
+
+    Follows each cycle of the permutation: the cycle's first row is saved,
+    every position takes the row it gathers, and the saved row closes the
+    cycle.
+    """
+    order = order.tolist()
+    placed = bytearray(len(order))
+    for start, source in enumerate(order):
+        if placed[start] or source == start:
+            continue
+        saved = array[start].copy()
+        i = start
+        while source != start:
+            array[i] = array[source]
+            placed[i] = 1
+            i, source = source, order[source]
+        array[i] = saved
+        placed[i] = 1
 
 
 def write_dataset(ds: Dataset, path) -> None:

@@ -43,7 +43,7 @@ from .aggregation import (
     personalize,
     qr_compress,
 )
-from .data import Dataset, PartitionPlan, dirichlet_partition
+from .data import Dataset, PartitionPlan, dirichlet_partition, permute_rows
 from .linalg import NonFiniteError, slice_cols, slice_rows
 from .model import (
     factored_logits,
@@ -58,7 +58,6 @@ from .optim import (
     ControlVariates,
     NonFiniteGradientError,
     adamw_step,
-    corrected_gradient,
     fresh_adamw_state,
     local_control_update,
     pad_delta,
@@ -67,10 +66,12 @@ from .optim import (
     zero_controls,
 )
 
-# the dense head, now only the oracle of the factored one, stays importable
-# from here: benchmarks/workloads.py traces these names in this module
+# the dense head, now only the oracle of the factored one, and the
+# per-array gradient correction the packed client step replaced stay
+# importable from here: benchmarks/workloads.py traces these names in this module
 from .adapter import factor_gradients  # noqa: F401
 from .model import head_accuracy, head_loss_and_grads  # noqa: F401
+from .optim import corrected_gradient  # noqa: F401
 
 METHODS = ("ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack")
 QR_METHODS = ("ilora", "ilora_s")
@@ -171,11 +172,12 @@ class ClientState:
     labels: np.ndarray
     rows: slice  # this shard's rows in the pooled training set
     base: BaseWeight
+    # flat [B | A | bias]; the adapter's factors and ``bias`` are views of it,
+    # and ``opt_state`` is the one AdamW state over all of it
+    params: np.ndarray
     adapter: LoraAdapter
     bias: np.ndarray
-    bias_state: AdamWState
-    state_a: AdamWState
-    state_b: AdamWState
+    opt_state: AdamWState
     controls: ControlVariates  # stored at this client's rank
     shuffle_key: tuple[int, int]  # travels with the state, not with the id
 
@@ -187,8 +189,31 @@ class ClientState:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def state_a(self) -> AdamWState:
+        """Read-only alias of ``opt_state``.
+
+        Its only reader is ``benchmarks/workloads.py``, which finds the
+        sampled clients through ``state_a.step``; it goes once the benchmark
+        reads ``opt_state``.
+        """
+        return self.opt_state
+
     def effective_weight(self) -> np.ndarray:
         return effective_weight(self.base, self.adapter)
+
+
+def _packed_views(
+    flat: np.ndarray, d: int, k: int, rank: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (d x rank, rank x k, 1 x k) views of one flat [B | A | bias] buffer."""
+    a_start = d * rank
+    bias_start = a_start + rank * k
+    return (
+        flat[:a_start].reshape(d, rank),
+        flat[a_start:bias_start].reshape(rank, k),
+        flat[bias_start:].reshape(1, k),
+    )
 
 
 @dataclass
@@ -318,8 +343,20 @@ def init_federation(
     hidden = None
     if config.hidden_dim is not None:
         hidden = _hidden_weight(dataset.features.shape[1], config.hidden_dim, config.train_seed)
-    all_features = model_features(dataset.features, hidden)
-    d = all_features.shape[1]
+    # every sample is mapped once, in dataset order, and the rows are then put
+    # in client order; each client's shard is a row view of the result. A
+    # gemm's rounding can depend on where a row sits in the matrix, so mapping
+    # the gathered inputs instead would not reproduce these bits
+    order = np.argsort(plan.assignments, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(plan.client_counts)))
+    pooled_features = model_features(dataset.features, hidden)
+    if pooled_features is dataset.features:
+        pooled_features = pooled_features[order]
+    else:
+        # a fresh array: reorder it in place rather than keep a second copy
+        permute_rows(pooled_features, order)
+    pooled_labels = dataset.labels[order]
+    d = pooled_features.shape[1]
     k = dataset.n_classes
     if config.server_rank > min(d, k):
         raise ConfigError(f"server rank {config.server_rank} exceeds min{(d, k)}")
@@ -329,21 +366,13 @@ def init_federation(
     base, leading = qr_orthogonal_init(
         theta0, config.server_rank, config.server_rank, scaling=1.0
     )
-    # one gather in client order; each client's shard is a row view of it
-    shards = [plan.client_indices(cid) for cid in range(config.n_clients)]
-    order = np.concatenate(shards)
-    pooled_features = all_features[order]
-    pooled_labels = dataset.labels[order]
-    bounds = np.cumsum([0] + [idx.shape[0] for idx in shards])
     clients: list[ClientState] = []
     for cid in range(config.n_clients):
         rank = config.client_ranks[cid]
-        adapter = LoraAdapter(
-            slice_cols(leading.b_factor, rank),
-            slice_rows(leading.a_factor, rank),
-            rank,
-            config.scaling_for(rank),
-        )
+        params = np.zeros(d * rank + rank * k + k)
+        b_factor, a_factor, bias = _packed_views(params, d, k, rank)
+        b_factor[...] = leading.b_factor[:, :rank]
+        a_factor[...] = leading.a_factor[:rank]
         rows = slice(bounds[cid], bounds[cid + 1])
         clients.append(
             ClientState(
@@ -352,11 +381,17 @@ def init_federation(
                 labels=pooled_labels[rows],
                 rows=rows,
                 base=base,
-                adapter=adapter,
-                bias=np.zeros((1, k)),
-                bias_state=_fresh_state(config, (1, k)),
-                state_a=_fresh_state(config, (rank, k)),
-                state_b=_fresh_state(config, (d, rank)),
+                params=params,
+                adapter=LoraAdapter(b_factor, a_factor, rank, config.scaling_for(rank)),
+                bias=bias,
+                opt_state=fresh_adamw_state(
+                    params.shape,
+                    lr=config.lr,
+                    beta1=config.beta1,
+                    beta2=config.beta2,
+                    eps=config.eps,
+                    weight_decay=config.weight_decay,
+                ),
                 controls=zero_controls(d, k, rank),
                 shuffle_key=(config.train_seed, cid),
             )
@@ -373,17 +408,6 @@ def init_federation(
     if eval_dataset is not None:
         server.heldout = (model_features(eval_dataset.features, hidden), eval_dataset.labels)
     return server, clients
-
-
-def _fresh_state(config: FederationConfig, shape: tuple[int, int]) -> AdamWState:
-    return fresh_adamw_state(
-        shape,
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
 
 
 def _broadcast_adapter(server: ServerState, config: FederationConfig, rank: int) -> LoraAdapter:
@@ -424,22 +448,39 @@ def _train_client(
     """Local epochs of (optionally drift-corrected) AdamW on one shard.
 
     Every batch runs the factored head on this client's row view of the
-    frozen-logit cache, so nothing of size d x k is formed. A nonfinite loss,
-    gradient or optimizer moment aborts the round for this client.
+    frozen-logit cache, so nothing of size d x k is formed. Its gradients
+    land in one flat [B | A | bias] buffer laid out like ``client.params``;
+    the B and A blocks are corrected by (global - local control), formed
+    once per epoch because the local controls change only between epochs,
+    and one in-place AdamW step updates all of ``client.params``. A nonfinite
+    loss, gradient or optimizer moment aborts the round for this client.
     """
+    d, k = client.base.frozen.shape
     global_ca, global_cb = slice_controls(server.global_controls, client.rank)
     track_controls = config.method == "ilora_s"
     round_delta_a = np.zeros_like(client.controls.c_a)
     round_delta_b = np.zeros_like(client.controls.c_b)
     base_logits = _frozen_logits(server)[0][client.rows]
     adapter = client.adapter
+    grads = np.empty_like(client.params)
+    grad_views = _packed_views(grads, d, k, client.rank)
+    grad_b, grad_a, _ = grad_views
+    # (global - local control) in the same layout; only the [B | A] blocks
+    # are corrected, the bias gradient is not
+    correction = np.empty_like(client.params)
+    correction_b, correction_a, _ = _packed_views(correction, d, k, client.rank)
+    n_factors = client.params.size - k
+    grad_factors, factor_correction = grads[:n_factors], correction[:n_factors]
 
     with _quiet_overflow():
         for batches in _shard_batches(client, config, round_index):
-            sum_ga = np.zeros_like(client.controls.c_a)
-            sum_gb = np.zeros_like(client.controls.c_b)
+            np.subtract(global_cb, client.controls.c_b, out=correction_b)
+            np.subtract(global_ca, client.controls.c_a, out=correction_a)
+            if track_controls:
+                sum_ga = np.zeros_like(client.controls.c_a)
+                sum_gb = np.zeros_like(client.controls.c_b)
             for idx in batches:
-                loss, grad_b, grad_a, bgrad = factored_loss_and_grads(
+                loss, *_ = factored_loss_and_grads(
                     base_logits[idx],
                     client.features[idx],
                     adapter.b_factor,
@@ -447,23 +488,16 @@ def _train_client(
                     adapter.scaling,
                     client.bias,
                     client.labels[idx],
+                    grad_views,  # out: the gradients land in the packed buffer
                 )
                 if not np.isfinite(loss):
                     raise RoundAbortedError(round_index, client.client_id, f"loss={loss}")
-                sum_ga += grad_a
-                sum_gb += grad_b
-                tilde_a = corrected_gradient(grad_a, global_ca, client.controls.c_a)
-                tilde_b = corrected_gradient(grad_b, global_cb, client.controls.c_b)
+                if track_controls:
+                    sum_ga += grad_a
+                    sum_gb += grad_b
+                grad_factors += factor_correction
                 try:
-                    adapter.a_factor, client.state_a = adamw_step(
-                        adapter.a_factor, tilde_a, client.state_a
-                    )
-                    adapter.b_factor, client.state_b = adamw_step(
-                        adapter.b_factor, tilde_b, client.state_b
-                    )
-                    client.bias, client.bias_state = adamw_step(
-                        client.bias, bgrad, client.bias_state
-                    )
+                    adamw_step(client.params, grads, client.opt_state, out=client.params)
                 except NonFiniteGradientError as exc:
                     raise RoundAbortedError(round_index, client.client_id, str(exc)) from exc
             if track_controls:
@@ -510,8 +544,13 @@ def run_round(
             # clients already hold the init slices the server distributed
             payload = (client.adapter.b_factor, client.adapter.a_factor)
         else:
-            client.adapter = _broadcast_adapter(server, config, client.rank)
-            client.bias = server.global_bias.copy()
+            # copied into the packed parameters: the factor and bias views,
+            # and the optimizer state over them, stay bound
+            incoming = _broadcast_adapter(server, config, client.rank)
+            client.adapter.b_factor[...] = incoming.b_factor
+            client.adapter.a_factor[...] = incoming.a_factor
+            client.adapter.scaling = incoming.scaling
+            client.bias[...] = server.global_bias
             if config.method in ("zero_pad", "full_stack"):
                 # padded averages / the whole stack ship; clients slice locally
                 payload = server.broadcast_factors
@@ -549,12 +588,7 @@ def run_round(
 
     with _quiet_overflow():
         drift = float(
-            np.mean(
-                [
-                    np.linalg.norm(c.effective_weight() - server.global_model)
-                    for c in sampled
-                ]
-            )
+            np.mean([_distance(c.effective_weight(), server.global_model) for c in sampled])
         )
         train_loss, train_acc = logit_loss_and_accuracy(
             _global_logits(server, config, "train"), server.pooled_train[1]
@@ -613,8 +647,18 @@ def _gradient_heterogeneity(server: ServerState, sampled: list[ClientState]) -> 
         counts.append(client.n_samples)
     weights = np.asarray(counts, dtype=np.float64)
     weights /= weights.sum()
-    mean_grad = sum(w * g for w, g in zip(weights, grads))
-    return float(np.mean([np.linalg.norm(g - mean_grad) for g in grads]))
+    # the weighted sum starts from +0.0, as Python's sum() of the terms does
+    mean_grad = np.zeros_like(grads[0])
+    term = np.empty_like(mean_grad)
+    for w, g in zip(weights, grads):
+        mean_grad += np.multiply(g, w, out=term)
+    return float(np.mean([_distance(g, mean_grad) for g in grads]))
+
+
+def _distance(scratch: np.ndarray, other: np.ndarray) -> float:
+    """Frobenius norm of ``scratch - other``, formed in ``scratch``'s buffer."""
+    scratch -= other
+    return float(np.linalg.norm(scratch))
 
 
 def _aggregate(server: ServerState, config: FederationConfig, updates: list[ClientUpdate]) -> float:

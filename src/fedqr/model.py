@@ -41,18 +41,18 @@ def _log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarra
     n = logits.shape[0]
     if n == 0:
         raise EmptyBatchError("cannot compute a loss on an empty batch")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    log_probs = shifted - log_norm
+    log_probs = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(log_probs), axis=1, keepdims=True))
+    log_probs -= log_norm
     loss = float(-np.mean(log_probs[np.arange(n), labels]))
     return log_probs, loss
 
 
 def logit_loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its exact gradient with respect to the logits."""
-    log_probs, loss = _log_softmax_loss(logits, labels)
+    delta, loss = _log_softmax_loss(logits, labels)
     n = logits.shape[0]
-    delta = np.exp(log_probs)
+    np.exp(delta, out=delta)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     return loss, delta
@@ -80,8 +80,16 @@ def _factored_forward(
     scaling: float,
     bias: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, X @ B); the logits are ``base_logits + scaling * (X @ B) @ A + bias``.
+
+    The sum is formed in the low-rank product's buffer, in that order.
+    """
     projected = features @ b_factor
-    return base_logits + scaling * (projected @ a_factor) + bias, projected
+    logits = projected @ a_factor
+    logits *= scaling
+    logits += base_logits
+    logits += bias
+    return logits, projected
 
 
 def factored_logits(
@@ -104,20 +112,27 @@ def factored_loss_and_grads(
     scaling: float,
     bias: np.ndarray,
     labels: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy of the factored head, with exact factor gradients.
 
     With G = dL/dlogits: dL/dB = scaling * X^T (G A^T), dL/dA =
     scaling * (X B)^T G and dL/dbias = sum_rows G. Returns (loss, dL/dB,
-    dL/dA, dL/dbias); nothing of size d x k is formed.
+    dL/dA, dL/dbias); nothing of size d x k is formed. The gradients are
+    written to ``out = (grad_b, grad_a, grad_bias)`` when it is given (for
+    instance views of one packed buffer), otherwise to new arrays.
     """
     logits, projected = _factored_forward(
         base_logits, features, b_factor, a_factor, scaling, bias
     )
     loss, delta = logit_loss_and_grad(logits, labels)
-    grad_b = scaling * (features.T @ (delta @ a_factor.T))
-    grad_a = scaling * (projected.T @ delta)
-    return loss, grad_b, grad_a, delta.sum(axis=0, keepdims=True)
+    grad_b, grad_a, grad_bias = (None, None, None) if out is None else out
+    grad_b = np.matmul(features.T, delta @ a_factor.T, out=grad_b)
+    grad_b *= scaling
+    grad_a = np.matmul(projected.T, delta, out=grad_a)
+    grad_a *= scaling
+    grad_bias = np.sum(delta, axis=0, keepdims=True, out=grad_bias)
+    return loss, grad_b, grad_a, grad_bias
 
 
 def _dense_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray) -> np.ndarray:

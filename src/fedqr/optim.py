@@ -36,7 +36,7 @@ class AdamWState:
 
 
 def fresh_adamw_state(
-    shape: tuple[int, int],
+    shape: tuple[int, ...],
     lr: float = 1e-4,
     beta1: float = 0.9,
     beta2: float = 0.999,
@@ -56,15 +56,21 @@ def fresh_adamw_state(
 
 
 def adamw_step(
-    param: np.ndarray, grad: np.ndarray, state: AdamWState
+    param: np.ndarray,
+    grad: np.ndarray,
+    state: AdamWState,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdamWState]:
-    """One AdamW update; returns a new parameter array and ``state``, advanced in place.
+    """One AdamW update; returns the new parameter and ``state``, advanced in place.
 
     param <- param - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * param)
     with bias-corrected m_hat, v_hat. The moments are updated in place, so
-    ``state`` must not be shared between parameters. A gradient whose square
-    is not finite (a NaN or Inf entry, or one so large the second moment
-    would overflow) raises ``NonFiniteGradientError`` before ``state`` changes.
+    ``state`` must not be shared between parameters. The new parameter is
+    written to ``out`` (``out=param`` updates in place) or, without it, to a
+    new array; both run the same elementwise operations in the same order, so
+    they agree bit for bit. A gradient whose square is not finite (a NaN or
+    Inf entry, or one so large the second moment would overflow) raises
+    ``NonFiniteGradientError`` before ``state`` or ``out`` changes.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
@@ -77,16 +83,22 @@ def adamw_step(
             raise NonFiniteGradientError("gradient contains NaN or Inf")
         raise NonFiniteGradientError("second moment overflows: gradient squared is not finite")
     state.step += 1
+    update = np.multiply(grad, 1.0 - state.beta1)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    state.m += update
+    grad_sq *= 1.0 - state.beta2
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad_sq
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    new_param = param - state.lr * (
-        m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * param
-    )
-    return new_param, state
+    state.v += grad_sq
+    # m_hat and v_hat reuse the two buffers above; v_hat becomes the denominator
+    np.divide(state.m, 1.0 - state.beta1**state.step, out=update)
+    np.divide(state.v, 1.0 - state.beta2**state.step, out=grad_sq)
+    np.sqrt(grad_sq, out=grad_sq)
+    grad_sq += state.eps
+    update /= grad_sq
+    np.multiply(param, state.weight_decay, out=grad_sq)
+    update += grad_sq
+    update *= state.lr
+    return np.subtract(param, update, out=out), state
 
 
 @dataclass

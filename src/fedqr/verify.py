@@ -532,10 +532,10 @@ def check_communication_accounting() -> CheckResult:
             server, clients = init_federation(config, dataset)
             shipped_stack_rank = None
             for round_index in range(config.rounds):
-                steps_before = [c.state_a.step for c in clients]
+                steps_before = [c.opt_state.step for c in clients]
                 server, metrics = run_round(server, clients, config)
                 sampled_ranks = tuple(
-                    c.rank for c, before in zip(clients, steps_before) if c.state_a.step != before
+                    c.rank for c, before in zip(clients, steps_before) if c.opt_state.step != before
                 )
                 ctx = RoundContext(
                     sampled_ranks=sampled_ranks,

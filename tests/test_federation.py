@@ -251,7 +251,7 @@ class TestRounds:
                 c.adapter.b_factor.tobytes(),
                 c.bias.tobytes(),
                 c.controls.c_a.tobytes(),
-                c.state_a.m.tobytes(),
+                c.opt_state.m.tobytes(),
             )
             for c in clients
         }
@@ -264,7 +264,7 @@ class TestRounds:
                 c.adapter.b_factor.tobytes(),
                 c.bias.tobytes(),
                 c.controls.c_a.tobytes(),
-                c.state_a.m.tobytes(),
+                c.opt_state.m.tobytes(),
             )
             if state == before[c.client_id]:
                 untouched += 1
@@ -539,9 +539,9 @@ class TestCommunicationModel:
         server, clients = init_federation(config, ds)
         shipped = None
         for round_index in range(config.rounds):
-            steps = [c.state_a.step for c in clients]
+            steps = [c.opt_state.step for c in clients]
             server, metrics = run_round(server, clients, config)
-            ranks = tuple(c.rank for c, s in zip(clients, steps) if c.state_a.step != s)
+            ranks = tuple(c.rank for c, s in zip(clients, steps) if c.opt_state.step != s)
             ctx = RoundContext(
                 sampled_ranks=ranks, d=16, k=8, first_round=round_index == 0,
                 shipped_stack_rank=shipped,
