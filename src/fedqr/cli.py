@@ -21,7 +21,8 @@ from .config import (
     preset_spec,
     write_metrics,
 )
-from .federation import RoundAbortedError, run_federation
+from .data import PartitionError
+from .federation import ConfigError, RoundAbortedError, run_federation
 from .verify import UnknownSuiteError, run_verify
 
 
@@ -29,11 +30,15 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run one experiment and write its JSON-lines metrics file.
 
     Returns a process exit code: 0 on success, 1 when a round aborted (a
-    diagnostic record is written in place of further rounds).
+    diagnostic record is written in place of further rounds), 2 when set-up
+    finds the config does not fit the data (nothing is written).
     """
     train, heldout = spec.build_datasets()
     try:
         metrics = run_federation(spec.federation, train, heldout)
+    except (ConfigError, PartitionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except RoundAbortedError as exc:
         with open(spec.output_path, "w", encoding="ascii") as fh:
             fh.write(

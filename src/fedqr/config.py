@@ -9,12 +9,15 @@ the environment with prefix ``FEDQR_`` and dots spelled as double underscores
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
+import typing
 from dataclasses import dataclass, field, replace
 
 from .data import Dataset, generate_blobs
-from .federation import FederationConfig, RoundMetrics
+from .federation import ConfigError, FederationConfig, RoundMetrics, check_ranges, ranged
 
 ENV_PREFIX = "FEDQR_"
 
@@ -34,12 +37,17 @@ class ConfigParseError(ValueError):
 class DataParams:
     """Synthetic dataset parameters for the training and held-out splits."""
 
-    classes: int = 8
-    samples_per_class: int = 60
-    input_dim: int = 16
-    spread: float = 0.35
-    eval_samples_per_class: int = 50
+    classes: int = ranged(8, lambda v: v >= 1, ">= 1")
+    samples_per_class: int = ranged(60, lambda v: v >= 1, ">= 1")
+    input_dim: int = 16  # >= classes: class c's mean sits on axis c
+    spread: float = ranged(0.35, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+    eval_samples_per_class: int = ranged(50, lambda v: v >= 1, ">= 1")
     eval_seed: int = 9999
+
+    def __post_init__(self):
+        check_ranges(self)
+        if self.input_dim < self.classes:
+            raise ConfigError(f"input_dim {self.input_dim} must be >= classes {self.classes}")
 
 
 @dataclass
@@ -183,70 +191,51 @@ def preset_spec(name: str) -> ExperimentSpec:
 
 # --- key-value schema -------------------------------------------------------
 
-def _parse_ranks(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _format_ranks(ranks) -> str:
-    return ",".join(str(r) for r in ranks)
-
-
-def _parse_optional_float(text: str):
-    return None if text.lower() == "none" else float(text)
-
-
-def _parse_optional_int(text: str):
-    return None if text.lower() == "none" else int(text)
+def _optional(parse):
+    return lambda text: None if text.lower() == "none" else parse(text)
 
 
 def _format_optional(value) -> str:
     return "none" if value is None else repr(value)
 
 
-# key -> (section attr, field name, parse, format)
-_SCHEMA: dict[str, tuple[str, str, object, object]] = {}
+# one (parse, format) pair per field type a config section may declare;
+# ranks are a comma list
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    tuple[int, ...]: (
+        lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
+        lambda ranks: ",".join(str(r) for r in ranks),
+    ),
+    float | None: (_optional(float), _format_optional),
+    int | None: (_optional(int), _format_optional),
+}
 
 
-def _register_schema():
-    fed_types = {
-        "n_clients": (int, str),
-        "client_ranks": (_parse_ranks, _format_ranks),
-        "server_rank": (int, str),
-        "method": (str, str),
-        "participation": (float, repr),
-        "local_epochs": (int, str),
-        "batch_size": (int, str),
-        "rounds": (int, str),
-        "lr": (float, repr),
-        "beta1": (float, repr),
-        "beta2": (float, repr),
-        "eps": (float, repr),
-        "weight_decay": (float, repr),
-        "lora_alpha": (float, repr),
-        "lora_scaling": (_parse_optional_float, _format_optional),
-        "global_scale": (float, repr),
-        "dirichlet_alpha": (float, repr),
-        "hidden_dim": (_parse_optional_int, _format_optional),
-        "data_seed": (int, str),
-        "partition_seed": (int, str),
-        "train_seed": (int, str),
-    }
-    for name, (parse, fmt) in fed_types.items():
-        _SCHEMA[f"federation.{name}"] = ("federation", name, parse, fmt)
-    data_types = {
-        "classes": (int, str),
-        "samples_per_class": (int, str),
-        "input_dim": (int, str),
-        "spread": (float, repr),
-        "eval_samples_per_class": (int, str),
-        "eval_seed": (int, str),
-    }
-    for name, (parse, fmt) in data_types.items():
-        _SCHEMA[f"data.{name}"] = ("data", name, parse, fmt)
-    _SCHEMA["output.path"] = (None, "output_path", str, str)
+def _section_schema(section: str, cls) -> dict[str, tuple[str, str, object, object]]:
+    """``section.field`` -> (section, field, parse, format), in field order.
+
+    A field whose type has no codec raises here, at import, so no field can
+    be left out of the config format.
+    """
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if hints[f.name] not in _CODECS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config codec for {hints[f.name]}")
+        schema[f"{section}.{f.name}"] = (section, f.name, *_CODECS[hints[f.name]])
+    return schema
 
 
-_register_schema()
+# key -> (section attr, field name, parse, format); the section is None for
+# keys stored on the spec itself
+_SCHEMA: dict[str, tuple[str | None, str, object, object]] = {
+    **_section_schema("federation", FederationConfig),
+    **_section_schema("data", DataParams),
+    "output.path": (None, "output_path", str, str),
+}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -259,7 +248,7 @@ def _parse_value(key: str, raw: str, line_no: int):
         raise ConfigParseError(line_no, f"bad value for {key}: {exc}") from exc
 
 
-def _apply_updates(spec: ExperimentSpec, updates: dict[str, object], line_no: int) -> ExperimentSpec:
+def _apply_updates(spec: ExperimentSpec, updates: dict[str, object]) -> ExperimentSpec:
     """Apply parsed key/value pairs in one shot per section.
 
     Grouping matters: dataclass validation runs on every ``replace``, and it
@@ -276,7 +265,7 @@ def _apply_updates(spec: ExperimentSpec, updates: dict[str, object], line_no: in
         try:
             setattr(spec, section, replace(getattr(spec, section), **fields_))
         except ValueError as exc:
-            raise ConfigParseError(line_no, str(exc)) from exc
+            raise ConfigParseError(0, str(exc)) from exc
     return spec
 
 
@@ -284,11 +273,12 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse the flat ``section.key = value`` format into a validated spec.
 
     A ``preset = <name>`` line (if any) is applied first; remaining keys
-    override its values. Errors carry the offending line number (0 when the
-    failing invariant spans several lines).
+    override its values. A key may be given once. Errors carry the offending
+    line number (0 when the failing invariant spans several lines).
     """
     pairs: list[tuple[int, str, str]] = []
     preset_name = "default"
+    seen: dict[str, int] = {}
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -296,6 +286,9 @@ def parse_config(text: str) -> ExperimentSpec:
         if "=" not in stripped:
             raise ConfigParseError(i, f"expected 'key = value', got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ConfigParseError(i, f"{key} given twice, on lines {seen[key]} and {i}")
+        seen[key] = i
         if key == "preset":
             if raw not in PRESETS:
                 raise ConfigParseError(i, f"unknown preset {raw!r}")
@@ -304,7 +297,7 @@ def parse_config(text: str) -> ExperimentSpec:
             pairs.append((i, key, raw))
     spec = preset_spec(preset_name)
     updates = {key: _parse_value(key, raw, line_no) for line_no, key, raw in pairs}
-    return _apply_updates(spec, updates, 0)
+    return _apply_updates(spec, updates)
 
 
 def apply_env_overrides(spec: ExperimentSpec, environ=None) -> ExperimentSpec:
@@ -320,7 +313,7 @@ def apply_env_overrides(spec: ExperimentSpec, environ=None) -> ExperimentSpec:
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key in environment: {env_key}")
         updates[key] = _parse_value(key, raw, 0)
-    return _apply_updates(spec, updates, 0)
+    return _apply_updates(spec, updates)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:

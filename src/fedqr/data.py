@@ -49,7 +49,6 @@ class PartitionPlan:
 
     assignments: np.ndarray
     client_counts: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         self.assignments = np.asarray(self.assignments, dtype=np.int64)
@@ -129,7 +128,7 @@ def dirichlet_partition(
         assignments[moved] = empty
         client_counts[donor] -= 1
         client_counts[empty] += 1
-    return PartitionPlan(assignments=assignments, client_counts=client_counts, alpha=alpha)
+    return PartitionPlan(assignments=assignments, client_counts=client_counts)
 
 
 def permute_rows(array: np.ndarray, order: np.ndarray) -> None:
@@ -164,6 +163,7 @@ def write_dataset(ds: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """Inverse of ``write_dataset``; blank lines may follow the last row only."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -177,4 +177,8 @@ def read_dataset(path) -> Dataset:
                 raise ValueError(f"row {i} has {len(cells)} fields, expected {d_in + 1}")
             features[i] = [float(x) for x in cells[:d_in]]
             labels[i] = int(cells[d_in])
+        # the header's count is the whole file: a row past it is an error
+        for line_no, line in enumerate(fh, start=n + 2):
+            if line.strip():
+                raise ValueError(f"line {line_no}: a row after the {n} the header declares")
     return Dataset(features=features, labels=labels, n_classes=n_classes)

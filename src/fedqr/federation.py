@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -108,52 +108,87 @@ class RoundAbortedError(RuntimeError):
         self.client_id = client_id
 
 
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+def _nonnegative(value) -> bool:
+    return math.isfinite(value) and value >= 0
+
+
+def _unit_interval(value) -> bool:
+    return 0.0 <= value < 1.0
+
+
+def _at_least_one(value) -> bool:
+    return value >= 1
+
+
+def ranged(default, accepts, accepted: str):
+    """A config field declared with its valid range.
+
+    ``check_ranges`` raises unless ``accepts(value)`` holds, stating
+    ``accepted`` as the range.
+    """
+    return field(default=default, metadata={"range": (accepts, accepted)})
+
+
+def check_ranges(config) -> None:
+    """Raise ``ConfigError`` for the first field outside its declared range."""
+    for f in fields(config):
+        if "range" in f.metadata:
+            accepts, accepted = f.metadata["range"]
+            value = getattr(config, f.name)
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {accepted}, got {value!r}")
+
+
 @dataclass
 class FederationConfig:
     """Experiment parameters for one federation run."""
 
-    n_clients: int = 8
+    n_clients: int = ranged(8, _at_least_one, ">= 1")
     client_ranks: tuple[int, ...] = (4, 4, 4, 4, 4, 4, 4, 4)
-    server_rank: int = 4
-    method: str = "ilora"
-    participation: float = 1.0
-    local_epochs: int = 1
-    batch_size: int = 64
-    rounds: int = 5
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    lora_alpha: float = 16.0
-    lora_scaling: float | None = None  # None -> lora_alpha / client rank
-    global_scale: float = 1.0
-    dirichlet_alpha: float = 0.3
-    hidden_dim: int | None = None  # None -> plain softmax regression
+    server_rank: int = ranged(4, _at_least_one, ">= 1")
+    method: str = ranged("ilora", METHODS.__contains__, f"one of {METHODS}")
+    participation: float = ranged(1.0, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    local_epochs: int = ranged(1, _at_least_one, ">= 1")
+    batch_size: int = ranged(64, _at_least_one, ">= 1")
+    rounds: int = ranged(5, _at_least_one, ">= 1")
+    # huge finite values are legal: an overflow reaches the round abort
+    lr: float = ranged(1e-4, _positive, "finite and > 0")
+    beta1: float = ranged(0.9, _unit_interval, "in [0, 1)")
+    beta2: float = ranged(0.999, _unit_interval, "in [0, 1)")
+    eps: float = ranged(1e-8, _nonnegative, "finite and >= 0")
+    weight_decay: float = ranged(0.0, _nonnegative, "finite and >= 0")
+    lora_alpha: float = ranged(16.0, _positive, "finite and > 0")
+    # None -> lora_alpha / client rank
+    lora_scaling: float | None = ranged(
+        None, lambda v: v is None or _positive(v), "none, or finite and > 0"
+    )
+    global_scale: float = ranged(1.0, math.isfinite, "finite")
+    dirichlet_alpha: float = ranged(0.3, _positive, "finite and > 0")
+    # None -> plain softmax regression
+    hidden_dim: int | None = ranged(None, lambda v: v is None or v >= 1, "none or >= 1")
     data_seed: int = 0
     partition_seed: int = 1
     train_seed: int = 2
 
     def __post_init__(self):
         self.client_ranks = tuple(int(r) for r in self.client_ranks)
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
+        check_ranges(self)
         if len(self.client_ranks) != self.n_clients:
             raise ConfigError(
                 f"{len(self.client_ranks)} client ranks for {self.n_clients} clients"
             )
-        if any(r < 1 for r in self.client_ranks) or self.server_rank < 1:
-            raise ConfigError("ranks must be positive")
+        if any(r < 1 for r in self.client_ranks):
+            raise ConfigError("client ranks must be >= 1")
         if any(r > self.server_rank for r in self.client_ranks):
             raise ConfigError(
                 f"client ranks {self.client_ranks} must not exceed server rank {self.server_rank}"
             )
-        if not 0.0 < self.participation <= 1.0:
-            raise ConfigError(f"participation must be in (0, 1], got {self.participation}")
         if sampled_count(self.n_clients, self.participation) < 1:
             raise ConfigError("participation too small: no client would be sampled")
-        if self.rounds < 1 or self.local_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("rounds, local_epochs and batch_size must be >= 1")
         if self.method == "fedit_avg" and len(set(self.client_ranks)) > 1:
             raise ConfigError("fedit_avg requires homogeneous client ranks")
 
@@ -522,16 +557,14 @@ def run_round(
     server: ServerState,
     clients: list[ClientState],
     config: FederationConfig,
-    rng: np.random.Generator | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
     """Execute one communication round; mutates client states in place."""
     t = server.round_index + 1
-    if rng is None:
-        rng = np.random.default_rng([config.train_seed, _TAG_SAMPLING, t])
     n_sampled = sampled_count(config.n_clients, config.participation)
     if n_sampled >= config.n_clients:
         sampled_ids = list(range(config.n_clients))
     else:
+        rng = np.random.default_rng([config.train_seed, _TAG_SAMPLING, t])
         sampled_ids = sorted(
             int(i) for i in rng.choice(config.n_clients, size=n_sampled, replace=False)
         )

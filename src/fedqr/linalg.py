@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# largest entrywise defect of a Gram matrix from the identity that
+# subspace_residual accepts as orthonormal columns
+ORTHO_TOL = 1e-8
+
 
 class ShapeError(ValueError):
     """Operands have incompatible dimensions."""
@@ -106,11 +110,11 @@ def slice_rows(m: np.ndarray, first_n: int) -> np.ndarray:
     return m[:first_n, :].copy()
 
 
-def subspace_residual(basis: np.ndarray, v: np.ndarray, ortho_tol: float = 1e-8) -> float:
+def subspace_residual(basis: np.ndarray, v: np.ndarray) -> float:
     """Frobenius norm of ``v`` minus its projection onto colspan(basis).
 
     ``basis`` must have orthonormal columns (checked entrywise against
-    ``ortho_tol``); a zero residual certifies that every column of ``v`` lies
+    ``ORTHO_TOL``); a zero residual certifies that every column of ``v`` lies
     in the span of the basis.
     """
     if basis.ndim != 2 or v.ndim != 2:
@@ -119,7 +123,7 @@ def subspace_residual(basis: np.ndarray, v: np.ndarray, ortho_tol: float = 1e-8)
         raise ShapeError(f"basis has {basis.shape[0]} rows but v has {v.shape[0]}")
     gram = basis.T @ basis
     defect = np.max(np.abs(gram - np.eye(basis.shape[1])))
-    if defect > ortho_tol:
+    if defect > ORTHO_TOL:
         raise BasisError(f"basis columns are not orthonormal (defect {defect:.3e})")
     residual = v - basis @ (basis.T @ v)
     return frobenius_norm(residual)

@@ -59,10 +59,14 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def _random_updates(rng, n_clients, d, k, max_rank=6, unit_scaling=True):
+# largest client rank of the random exactness updates
+_RANDOM_MAX_RANK = 6
+
+
+def _random_updates(rng, n_clients, d, k):
     updates = []
     for cid in range(n_clients):
-        r = int(rng.integers(1, min(max_rank, d, k) + 1))
+        r = int(rng.integers(1, min(_RANDOM_MAX_RANK, d, k) + 1))
         updates.append(
             ClientUpdate(
                 client_id=cid,
@@ -70,7 +74,7 @@ def _random_updates(rng, n_clients, d, k, max_rank=6, unit_scaling=True):
                     rng.standard_normal((d, r)),
                     rng.standard_normal((r, k)),
                     r,
-                    scaling=1.0 if unit_scaling else float(rng.uniform(0.5, 4.0)),
+                    scaling=1.0,
                 ),
                 sample_count=int(rng.integers(1, 50)),
             )
@@ -174,15 +178,16 @@ def check_bias_witness() -> CheckResult:
     )
 
 
-def _small_hetero_config(method="ilora", rounds=10) -> FederationConfig:
-    return FederationConfig(
+def check_subspace_preservation() -> CheckResult:
+    """Every personalized slice stays inside the aggregated QR column space."""
+    config = FederationConfig(
         n_clients=4,
         client_ranks=(1, 2, 3, 4),
         server_rank=4,
-        method=method,
+        method="ilora",
         local_epochs=1,
         batch_size=16,
-        rounds=rounds,
+        rounds=10,
         lr=0.02,
         dirichlet_alpha=0.5,
         lora_scaling=1.0,
@@ -190,11 +195,6 @@ def _small_hetero_config(method="ilora", rounds=10) -> FederationConfig:
         partition_seed=17,
         train_seed=27,
     )
-
-
-def check_subspace_preservation() -> CheckResult:
-    """Every personalized slice stays inside the aggregated QR column space."""
-    config = _small_hetero_config(rounds=10)
     dataset = generate_blobs(8, 30, 16, 0.3, config.data_seed)
     server, clients = init_federation(config, dataset)
     worst = 0.0
@@ -397,9 +397,9 @@ def check_cross_method_equivalence() -> CheckResult:
     )
 
 
-def canonical_final_metrics(method: str, seed: int, alpha: float | None = None):
+def canonical_final_metrics(method: str, seed: int):
     """Final-round metrics of one canonical-preset run (the drift study unit)."""
-    spec = _canonical_spec(method, seed, alpha)
+    spec = _canonical_spec(method, seed)
     train, heldout = spec.build_datasets()
     return run_federation(spec.federation, train, heldout)[-1]
 

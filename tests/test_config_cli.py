@@ -1,15 +1,18 @@
 import argparse
 import dataclasses
 import json
+import math
 import pathlib
 import warnings
 
 import pytest
 
-from fedqr import cli
+from fedqr import cli, config
 from fedqr.config import (
+    ENV_PREFIX,
     PAPER_HETERO_ALPHA_GRID,
     ConfigParseError,
+    DataParams,
     apply_env_overrides,
     experiment_seeds,
     parse_config,
@@ -17,7 +20,7 @@ from fedqr.config import (
     read_metrics,
     serialize_spec,
 )
-from fedqr.federation import RoundAbortedError
+from fedqr.federation import ConfigError, FederationConfig, RoundAbortedError
 
 
 class TestParseConfig:
@@ -69,6 +72,189 @@ class TestParseConfig:
         spec = parse_config("federation.lora_scaling = none\nfederation.hidden_dim = 12\n")
         assert spec.federation.lora_scaling is None
         assert spec.federation.hidden_dim == 12
+
+    def test_key_given_twice_names_both_lines(self):
+        with pytest.raises(ConfigParseError, match="given twice, on lines 1 and 3"):
+            parse_config("federation.rounds = 3\n# again\nfederation.rounds = 7\n")
+        with pytest.raises(ConfigParseError, match="preset given twice, on lines 1 and 2"):
+            parse_config("preset = paper\npreset = default\n")
+
+
+# a valid value other than the default preset's for every config key, as
+# (text, parsed value); n_clients needs a rank list of its length
+NON_DEFAULT = {
+    "federation.n_clients": ("3", 3),
+    "federation.client_ranks": ("2,3,4,4,4,4,4,4", (2, 3, 4, 4, 4, 4, 4, 4)),
+    "federation.server_rank": ("6", 6),
+    "federation.method": ("ilora_s", "ilora_s"),
+    "federation.participation": ("0.5", 0.5),
+    "federation.local_epochs": ("2", 2),
+    "federation.batch_size": ("16", 16),
+    "federation.rounds": ("7", 7),
+    "federation.lr": ("0.003", 0.003),
+    "federation.beta1": ("0.5", 0.5),
+    "federation.beta2": ("0.99", 0.99),
+    "federation.eps": ("1e-06", 1e-06),
+    "federation.weight_decay": ("0.01", 0.01),
+    "federation.lora_alpha": ("8.0", 8.0),
+    "federation.lora_scaling": ("2.5", 2.5),
+    "federation.global_scale": ("-0.5", -0.5),
+    "federation.dirichlet_alpha": ("1.5", 1.5),
+    "federation.hidden_dim": ("12", 12),
+    "federation.data_seed": ("5", 5),
+    "federation.partition_seed": ("105", 105),
+    "federation.train_seed": ("205", 205),
+    "data.classes": ("12", 12),
+    "data.samples_per_class": ("20", 20),
+    "data.input_dim": ("24", 24),
+    "data.spread": ("0.5", 0.5),
+    "data.eval_samples_per_class": ("30", 30),
+    "data.eval_seed": ("7", 7),
+    "output.path": ("out/run.jsonl", "out/run.jsonl"),
+}
+COMPANIONS = {"federation.n_clients": {"federation.client_ranks": ("4,4,4", (4, 4, 4))}}
+
+DEFAULT_TEXT = """preset = default
+federation.n_clients = 8
+federation.client_ranks = 4,4,4,4,4,4,4,4
+federation.server_rank = 4
+federation.method = ilora
+federation.participation = 1.0
+federation.local_epochs = 1
+federation.batch_size = 64
+federation.rounds = 5
+federation.lr = 0.0001
+federation.beta1 = 0.9
+federation.beta2 = 0.999
+federation.eps = 1e-08
+federation.weight_decay = 0.0
+federation.lora_alpha = 16.0
+federation.lora_scaling = none
+federation.global_scale = 1.0
+federation.dirichlet_alpha = 0.3
+federation.hidden_dim = none
+federation.data_seed = 0
+federation.partition_seed = 1
+federation.train_seed = 2
+data.classes = 8
+data.samples_per_class = 60
+data.input_dim = 16
+data.spread = 0.35
+data.eval_samples_per_class = 50
+data.eval_seed = 9999
+output.path = metrics.jsonl
+"""
+
+
+def key_value(spec, key):
+    if key == "output.path":
+        return spec.output_path
+    section, name = key.split(".")
+    return getattr(getattr(spec, section), name)
+
+
+class TestSchema:
+    def test_keys_follow_the_field_declarations(self):
+        expected = (
+            [f"federation.{f.name}" for f in dataclasses.fields(FederationConfig)]
+            + [f"data.{f.name}" for f in dataclasses.fields(DataParams)]
+            + ["output.path"]
+        )
+        assert list(config._SCHEMA) == expected
+        assert len(expected) == 28
+
+    def test_default_serialization_is_pinned(self):
+        assert serialize_spec(preset_spec("default")) == DEFAULT_TEXT
+
+    def test_field_without_codec_fails(self):
+        @dataclasses.dataclass
+        class Odd:
+            weights: list[float] = dataclasses.field(default_factory=list)
+
+        with pytest.raises(TypeError, match="Odd.weights"):
+            config._section_schema("odd", Odd)
+
+    @pytest.mark.parametrize("key", list(config._SCHEMA))
+    def test_key_round_trips(self, key):
+        updates = {key: NON_DEFAULT[key], **COMPANIONS.get(key, {})}
+        spec = parse_config("".join(f"{k} = {text}\n" for k, (text, _) in updates.items()))
+        default = preset_spec("default")
+        for k, (_, value) in updates.items():
+            assert key_value(spec, k) == value != key_value(default, k)
+        assert parse_config(serialize_spec(spec)) == spec
+        environ = {
+            ENV_PREFIX + k.upper().replace(".", "__"): text for k, (text, _) in updates.items()
+        }
+        assert apply_env_overrides(default, environ) == spec
+
+
+# field -> (rejected values, accepted boundary values)
+FEDERATION_RANGES = {
+    "n_clients": ([0, -1], [1]),
+    "server_rank": ([0], [8]),
+    "method": (["fedavg", ""], ["zero_pad"]),
+    "participation": ([0.0, 1.5, math.nan], [1.0]),
+    "local_epochs": ([0], [3]),
+    "batch_size": ([0], [1]),
+    "rounds": ([0, -5], [1]),
+    "lr": ([0.0, -1.0, math.nan, math.inf], [1e-12, 1e308]),
+    "beta1": ([-0.1, 1.0, math.nan], [0.0, 0.999]),
+    "beta2": ([-0.1, 1.0, math.nan], [0.0, 0.9999]),
+    "eps": ([-1e-8, math.nan, math.inf], [0.0]),
+    "weight_decay": ([-0.01, math.nan, math.inf], [0.0, 0.5]),
+    "lora_alpha": ([0.0, -16.0, math.nan, math.inf], [1e-3]),
+    "lora_scaling": ([0.0, -1.0, math.nan, math.inf], [None, 1e300]),
+    "global_scale": ([math.nan, math.inf, -math.inf], [-2.0, 0.0, 1e308]),
+    "dirichlet_alpha": ([0.0, -0.5, math.nan, math.inf], [1e6]),
+    "hidden_dim": ([0, -3], [None, 1]),
+}
+DATA_RANGES = {
+    "classes": ([0, -1], [1]),
+    "samples_per_class": ([0], [1]),
+    "eval_samples_per_class": ([0], [1]),
+    "input_dim": ([7], [8]),  # the default has 8 classes
+    "spread": ([-0.1, math.nan, math.inf], [0.0]),
+}
+
+
+class TestFieldRanges:
+    @pytest.mark.parametrize(
+        "cls, ranges, name",
+        [(FederationConfig, FEDERATION_RANGES, n) for n in FEDERATION_RANGES]
+        + [(DataParams, DATA_RANGES, n) for n in DATA_RANGES],
+    )
+    def test_field_range(self, cls, ranges, name):
+        rejected, accepted = ranges[name]
+        # n_clients is changed together with a rank list of its length
+        ranks = {"client_ranks": (1,)} if name == "n_clients" else {}
+        for value in rejected:
+            with pytest.raises(ConfigError, match=name):
+                dataclasses.replace(cls(), **{name: value})
+        for value in accepted:
+            assert getattr(dataclasses.replace(cls(), **ranks, **{name: value}), name) == value
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"FEDQR_FEDERATION__LR": "-1"},
+            {"FEDQR_FEDERATION__BETA1": "1.0"},
+            {"FEDQR_FEDERATION__LORA_SCALING": "nan"},
+            {"FEDQR_DATA__SPREAD": "-1"},
+            # found only at set-up: the server rank exceeds min(d, k) = 8,
+            # and 2 samples cannot go to 8 clients
+            {"FEDQR_FEDERATION__SERVER_RANK": "12", "FEDQR_FEDERATION__CLIENT_RANKS": "4,4,4,4,4,4,4,4"},
+            {"FEDQR_DATA__CLASSES": "2", "FEDQR_DATA__SAMPLES_PER_CLASS": "1"},
+        ],
+        ids=["lr", "beta1", "lora_scaling", "spread", "server_rank", "partition"],
+    )
+    def test_cli_config_error_exits_2(self, tmp_path, monkeypatch, capsys, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "m.jsonl"
+        assert cli.main(["run", "--preset", "default", "--rounds", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestPresets:

@@ -132,3 +132,17 @@ class TestTextFormat:
         path.write_text("2 3 2\n0.0 0.0 0.0 0\n0.0 0.0 1\n")
         with pytest.raises(ValueError, match="row 1"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("extra", ["9.0 9.0 9.0 2\n", "\n1 2\n"])
+    def test_rows_past_the_header_count_rejected(self, tmp_path, extra):
+        # a trailing well-formed row and a malformed line are both errors;
+        # blank lines after the last row are not
+        ds = generate_blobs(3, 4, 3, 0.4, seed=2)
+        path = tmp_path / "long.txt"
+        write_dataset(ds, path)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\n" + extra)
+        with pytest.raises(ValueError, match="header declares"):
+            read_dataset(path)
+        path.write_text(path.read_text().replace(extra, "\n"))
+        assert read_dataset(path).labels.tobytes() == ds.labels.tobytes()
