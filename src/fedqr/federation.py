@@ -378,6 +378,13 @@ def init_federation(
     hidden = None
     if config.hidden_dim is not None:
         hidden = _hidden_weight(dataset.features.shape[1], config.hidden_dim, config.train_seed)
+    # held-out features first: in wide_hetero they are the larger matrix (20 vs
+    # 16 MiB). Mapped second, they could meet the training matrix at the front
+    # of the space that a freed state left, not fit behind it, and grow the brk
+    # heap: peak RSS then moved by up to 8 MiB from one run to the next
+    heldout = None
+    if eval_dataset is not None:
+        heldout = (model_features(eval_dataset.features, hidden), eval_dataset.labels)
     # every sample is mapped once, in dataset order, and the rows are then put
     # in client order; each client's shard is a row view of the result. A
     # gemm's rounding can depend on where a row sits in the matrix, so mapping
@@ -439,9 +446,8 @@ def init_federation(
         global_bias=np.zeros((1, k)),
         global_controls=zero_controls(d, k, config.server_rank),
         pooled_train=(pooled_features, pooled_labels),
+        heldout=heldout,
     )
-    if eval_dataset is not None:
-        server.heldout = (model_features(eval_dataset.features, hidden), eval_dataset.labels)
     return server, clients
 
 
