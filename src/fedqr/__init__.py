@@ -7,13 +7,15 @@ Library layout:
 * ``adapter``     low-rank adapter pairs, the frozen base weight (``BaseWeight``),
                   QR-orthonormal initialization
 * ``model``       softmax-head functions on plain arrays: the factored head
-                  on cached frozen-base logits, the dense-weight oracles,
-                  the optional frozen tanh features
+                  on cached frozen-base logits, the optional frozen tanh
+                  features
 * ``data``        synthetic blobs and Dirichlet non-IID partitioning
 * ``optim``       AdamW plus control-variate drift correction
 * ``aggregation`` concatenated-QR fusion and baseline aggregators
 * ``federation``  round orchestration, metrics, communication accounting
 * ``config``      experiment specs, presets, metrics serialization
+* ``oracle``      slow dense references the production paths are checked
+                  against; not exported here
 * ``verify``      named property suites behind the acceptance criteria
 """
 
@@ -21,7 +23,6 @@ from .adapter import (
     BaseWeight,
     LoraAdapter,
     effective_weight,
-    factor_gradients,
     qr_orthogonal_init,
 )
 from .aggregation import (
@@ -73,9 +74,7 @@ from .optim import (
     AdamWState,
     ControlVariates,
     adamw_step,
-    corrected_gradient,
     local_control_update,
-    pad_delta,
     server_control_aggregate,
     slice_controls,
 )

@@ -98,20 +98,3 @@ def effective_weight(base: BaseWeight, adapter: LoraAdapter) -> np.ndarray:
             f"adapter produces {adapter.shape}, base is {base.frozen.shape}"
         )
     return base.frozen + adapter.scaling * (adapter.b_factor @ adapter.a_factor)
-
-
-def factor_gradients(
-    adapter: LoraAdapter, weight_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain rule from a full-weight gradient to factor gradients.
-
-    With W = frozen + scaling * B @ A:
-    dL/dB = scaling * dL/dW @ A.T and dL/dA = scaling * B.T @ dL/dW.
-    """
-    if weight_grad.shape != adapter.shape:
-        raise ShapeError(
-            f"weight gradient {weight_grad.shape} does not match adapter {adapter.shape}"
-        )
-    grad_b = adapter.scaling * (weight_grad @ adapter.a_factor.T)
-    grad_a = adapter.scaling * (adapter.b_factor.T @ weight_grad)
-    return grad_b, grad_a

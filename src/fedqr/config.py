@@ -238,21 +238,24 @@ _SCHEMA: dict[str, tuple[str | None, str, object, object]] = {
 }
 
 
-def _parse_value(key: str, raw: str, line_no: int):
+def _parse_value(key: str, raw: str):
+    """Parse ``raw`` as the value of ``key``; a ValueError names the key."""
     if key not in _SCHEMA:
-        raise ConfigParseError(line_no, f"unknown key {key!r}")
+        raise ValueError(f"unknown key {key!r}")
     _, _, parse, _ = _SCHEMA[key]
     try:
         return parse(raw)
     except ValueError as exc:
-        raise ConfigParseError(line_no, f"bad value for {key}: {exc}") from exc
+        raise ValueError(f"bad value for {key}: {exc}") from exc
 
 
-def _apply_updates(spec: ExperimentSpec, updates: dict[str, object]) -> ExperimentSpec:
+def _apply_updates(spec: ExperimentSpec, updates: dict[str, object], blame) -> ExperimentSpec:
     """Apply parsed key/value pairs in one shot per section.
 
     Grouping matters: dataclass validation runs on every ``replace``, and it
-    must see the final field combination, not a half-updated one.
+    must see the final field combination, not a half-updated one. When a
+    section's combined update fails, ``blame(keys, message)`` builds the
+    error raised, given that section's updated keys.
     """
     grouped: dict[str, dict[str, object]] = {}
     for key, value in updates.items():
@@ -265,7 +268,8 @@ def _apply_updates(spec: ExperimentSpec, updates: dict[str, object]) -> Experime
         try:
             setattr(spec, section, replace(getattr(spec, section), **fields_))
         except ValueError as exc:
-            raise ConfigParseError(0, str(exc)) from exc
+            keys = [f"{section}.{name}" for name in fields_]
+            raise blame(keys, str(exc)) from exc
     return spec
 
 
@@ -296,24 +300,41 @@ def parse_config(text: str) -> ExperimentSpec:
         else:
             pairs.append((i, key, raw))
     spec = preset_spec(preset_name)
-    updates = {key: _parse_value(key, raw, line_no) for line_no, key, raw in pairs}
-    return _apply_updates(spec, updates)
+    updates = {}
+    for line_no, key, raw in pairs:
+        try:
+            updates[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigParseError(line_no, str(exc)) from exc
+    return _apply_updates(spec, updates, lambda keys, message: ConfigParseError(0, message))
 
 
 def apply_env_overrides(spec: ExperimentSpec, environ=None) -> ExperimentSpec:
-    """Override spec keys from FEDQR_-prefixed environment variables."""
+    """Override spec keys from FEDQR_-prefixed environment variables.
+
+    An error names the variable whose value failed to parse, or every
+    variable of a section whose combined update fails validation:
+    ``FEDQR_FEDERATION__LR: lr must be finite and > 0, got -1.0``.
+    """
     environ = os.environ if environ is None else environ
     updates = {}
+    variables = {}
     for env_key, raw in sorted(environ.items()):
         if not env_key.startswith(ENV_PREFIX):
             continue
         key = env_key[len(ENV_PREFIX) :].lower().replace("__", ".")
         if key == "preset":
             continue
-        if key not in _SCHEMA:
-            raise ValueError(f"unknown config key in environment: {env_key}")
-        updates[key] = _parse_value(key, raw, 0)
-    return _apply_updates(spec, updates)
+        try:
+            updates[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{env_key}: {exc}") from exc
+        variables[key] = env_key
+
+    def blame(keys, message):
+        return ValueError(f"{', '.join(variables[key] for key in keys)}: {message}")
+
+    return _apply_updates(spec, updates, blame)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:

@@ -60,18 +60,20 @@ from .optim import (
     adamw_step,
     fresh_adamw_state,
     local_control_update,
-    pad_delta,
     server_control_aggregate,
     slice_controls,
     zero_controls,
 )
 
-# the dense head, now only the oracle of the factored one, and the
-# per-array gradient correction the packed client step replaced stay
-# importable from here: benchmarks/workloads.py traces these names in this module
-from .adapter import factor_gradients  # noqa: F401
-from .model import head_accuracy, head_loss_and_grads  # noqa: F401
-from .optim import corrected_gradient  # noqa: F401
+# oracles no round calls, kept importable from here only because
+# benchmarks/workloads.py traces these names in this module
+from .oracle import (  # noqa: F401
+    corrected_gradient,
+    factor_gradients,
+    head_accuracy,
+    head_loss_and_grads,
+    pad_delta,
+)
 
 METHODS = ("ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack")
 QR_METHODS = ("ilora", "ilora_s")
@@ -730,11 +732,11 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
 
 
 def _fold_control_deltas(server, config, updates):
-    padded_a = [pad_delta(u.control_deltas[0], config.server_rank, axis=0) for u in updates]
-    padded_b = [pad_delta(u.control_deltas[1], config.server_rank, axis=1) for u in updates]
+    # each client's rank-r deltas go into the leading block of the stored controls
+    controls = server.global_controls
     server.global_controls = ControlVariates(
-        c_a=server_control_aggregate(server.global_controls.c_a, padded_a),
-        c_b=server_control_aggregate(server.global_controls.c_b, padded_b),
+        c_a=server_control_aggregate(controls.c_a, [u.control_deltas[0] for u in updates]),
+        c_b=server_control_aggregate(controls.c_b, [u.control_deltas[1] for u in updates]),
         r_ref=config.server_rank,
     )
 

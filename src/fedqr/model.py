@@ -8,16 +8,13 @@ needed. Every function takes plain arrays.
 Training and evaluation run the factored head: with W = W0 + s * B @ A and
 W0 frozen, the logits are ``X @ W0 + s * (X @ B) @ A + bias``, where
 ``X @ W0`` is computed once per federation and cached, so neither the d x k
-weight nor its d x k gradient is ever formed. The ``head_*`` functions take
-the dense effective weight; they are the oracles the factored path is
-checked against.
+weight nor its d x k gradient is ever formed. The dense-weight head it is
+checked against lives in ``oracle``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .linalg import ShapeError
 
 
 class EmptyBatchError(ValueError):
@@ -133,27 +130,3 @@ def factored_loss_and_grads(
     grad_a *= scaling
     grad_bias = np.sum(delta, axis=0, keepdims=True, out=grad_bias)
     return loss, grad_b, grad_a, grad_bias
-
-
-def _dense_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray) -> np.ndarray:
-    if features.shape[1] != weight.shape[0]:
-        raise ShapeError(f"features {features.shape} vs weight {weight.shape}")
-    return features @ weight + bias
-
-
-def head_loss_and_grads(
-    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dense oracle: mean cross-entropy with the exact d x k weight gradient.
-
-    Returns (loss, dL/dweight, dL/dbias).
-    """
-    loss, delta = logit_loss_and_grad(_dense_logits(weight, bias, features), labels)
-    return loss, features.T @ delta, delta.sum(axis=0, keepdims=True)
-
-
-def head_accuracy(
-    weight: np.ndarray, bias: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> float:
-    """Dense oracle: fraction of argmax-correct predictions."""
-    return logit_accuracy(_dense_logits(weight, bias, features), labels)

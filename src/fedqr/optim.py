@@ -5,7 +5,8 @@ Control variates follow the drift-correction recipe: clients correct raw
 gradients by (global control - local control), refresh their local control to
 the latest epoch-mean gradient, and the server folds the average delta into
 the global control. Controls for heterogeneous ranks are stored at the server
-rank and moved between ranks by leading-slice / zero-pad embeddings.
+rank; a client receives their leading slice at its rank, and its rank-r
+delta is folded back into their leading block.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RankError, ShapeError
+
+# oracle kept importable from here only because benchmarks/workloads.py calls
+# and traces it in this module
+from .oracle import pad_delta  # noqa: F401
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -123,17 +128,6 @@ def zero_controls(d: int, k: int, r_ref: int) -> ControlVariates:
     return ControlVariates(c_a=np.zeros((r_ref, k)), c_b=np.zeros((d, r_ref)), r_ref=r_ref)
 
 
-def corrected_gradient(
-    raw: np.ndarray, global_c: np.ndarray, local_c: np.ndarray
-) -> np.ndarray:
-    """raw + (global control - local control); the drift-corrected gradient."""
-    if raw.shape != global_c.shape or raw.shape != local_c.shape:
-        raise ShapeError(
-            f"gradient {raw.shape} and controls {global_c.shape} / {local_c.shape} must agree"
-        )
-    return raw + (global_c - local_c)
-
-
 def local_control_update(
     last_raw_grad: np.ndarray, local_c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,19 +142,28 @@ def local_control_update(
 def server_control_aggregate(global_c: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
     """Fold the unweighted mean of client deltas into the global control.
 
-    Returns a new array, summed in place in client order; ``global_c`` is
-    left unchanged.
+    Each delta fits inside ``global_c`` and is added into its leading block:
+    a rank-r A-side delta (r x k) into the leading rows of c_A, a B-side
+    delta (d x r) into the leading columns of c_B. That is bit-identical to
+    summing the deltas zero-padded to ``global_c``'s shape, because the total
+    starts at +0.0 and so never holds -0.0, the one value a skipped ``+ 0.0``
+    would change. Returns a new array, summed in place in client order;
+    ``global_c`` is left unchanged.
     """
     if not deltas:
         raise ValueError("cannot aggregate an empty list of control deltas")
+    rows, cols = global_c.shape
     for delta in deltas:
-        if delta.shape != global_c.shape:
+        if delta.ndim != 2 or delta.shape[0] > rows or delta.shape[1] > cols:
             raise ShapeError(
-                f"delta {delta.shape} does not match global control {global_c.shape}"
+                f"delta {delta.shape} does not fit in global control {global_c.shape}"
             )
     total = np.zeros_like(global_c)
     for delta in deltas:
-        total += delta
+        if delta.shape == total.shape:
+            total += delta
+        else:
+            total[: delta.shape[0], : delta.shape[1]] += delta
     total /= len(deltas)
     total += global_c
     return total
@@ -173,19 +176,3 @@ def slice_controls(
     if client_rank > controls.r_ref:
         raise RankError(f"client rank {client_rank} exceeds stored rank {controls.r_ref}")
     return controls.c_a[:client_rank, :].copy(), controls.c_b[:, :client_rank].copy()
-
-
-def pad_delta(delta: np.ndarray, target_rank: int, axis: int = 0) -> np.ndarray:
-    """Zero-pad a rank-r_k delta along ``axis`` up to ``target_rank``.
-
-    A-side deltas (r x k) pad trailing rows (axis 0); B-side deltas (d x r)
-    pad trailing columns (axis 1).
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    rank = delta.shape[axis]
-    if rank > target_rank:
-        raise RankError(f"delta rank {rank} exceeds target {target_rank}")
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (0, target_rank - rank)
-    return np.pad(delta, pad)

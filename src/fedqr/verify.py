@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import BaseWeight, LoraAdapter, effective_weight, factor_gradients
+from .adapter import BaseWeight, LoraAdapter, effective_weight
 from .aggregation import (
     ClientUpdate,
     baseline_factor_average,
@@ -36,7 +36,8 @@ from .federation import (
     run_round,
 )
 from .linalg import frobenius_norm, subspace_residual, thin_qr
-from .model import factored_loss_and_grads, head_loss_and_grads
+from .model import factored_loss_and_grads
+from .oracle import factor_gradients, head_loss_and_grads
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
 

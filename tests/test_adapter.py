@@ -5,10 +5,10 @@ from fedqr.adapter import (
     BaseWeight,
     LoraAdapter,
     effective_weight,
-    factor_gradients,
     qr_orthogonal_init,
 )
 from fedqr.linalg import RankError, ShapeError, frobenius_norm, subspace_residual, thin_qr
+from fedqr.oracle import factor_gradients
 
 
 def random_setup(seed, d=10, k=7, client_rank=3, base_rank=5, scaling=1.0):

@@ -301,6 +301,41 @@ class TestEnvOverrides:
         spec = apply_env_overrides(preset_spec("default"), {"PATH": "/bin"})
         assert spec == preset_spec("default")
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("FEDQR_FEDERATION__LR", "-1", "lr must be finite and > 0, got -1.0"),
+            (
+                "FEDQR_FEDERATION__ROUNDS",
+                "abc",
+                "bad value for federation.rounds: invalid literal for int() with base 10: 'abc'",
+            ),
+            ("FEDQR_FEDERATION__CLIENT_RANKS", "4,4", "2 client ranks for 8 clients"),
+        ],
+        ids=["out_of_range", "unparsable", "invalid_combination"],
+    )
+    def test_cli_error_names_the_variable(
+        self, tmp_path, monkeypatch, capsys, name, value, message
+    ):
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "m.jsonl"
+        assert cli.main(["run", "--preset", "default", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {name}: {message}\n"
+        assert not out.exists()
+
+    def test_failed_section_names_all_its_variables(self):
+        environ = {
+            "FEDQR_FEDERATION__ROUNDS": "3",
+            "FEDQR_FEDERATION__CLIENT_RANKS": "4,4",
+            "FEDQR_DATA__SPREAD": "0.5",
+        }
+        with pytest.raises(ValueError) as info:
+            apply_env_overrides(preset_spec("default"), environ)
+        assert str(info.value) == (
+            "FEDQR_FEDERATION__CLIENT_RANKS, FEDQR_FEDERATION__ROUNDS: "
+            "2 client ranks for 8 clients"
+        )
+
 
 def fast_spec(tmp_path, rounds=2):
     spec = preset_spec("default")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedqr import adapter, federation, model
+from fedqr import adapter, federation, model, oracle
 from fedqr.config import preset_spec
 from fedqr.data import dirichlet_partition, generate_blobs
 from fedqr.federation import (
@@ -21,7 +21,7 @@ from fedqr.federation import (
     sampled_count,
 )
 from fedqr.linalg import frobenius_norm, subspace_residual, thin_qr
-from fedqr.model import head_accuracy, head_loss_and_grads
+from fedqr.oracle import head_accuracy, head_loss_and_grads
 
 
 def small_config(**overrides):
@@ -363,7 +363,7 @@ def dense_oracle_guard(monkeypatch):
 
     def guarded(*args, **kwargs):
         with monkeypatch.context() as patch:
-            for module in (federation, adapter, model):
+            for module in (federation, adapter, model, oracle):
                 for name in ("effective_weight", "head_loss_and_grads", "factor_gradients"):
                     if hasattr(module, name):
                         patch.setattr(module, name, forbidden)

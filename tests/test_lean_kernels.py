@@ -2,8 +2,9 @@
 
 Server step: ``leading_qr``, ``qr_compress``, ``apply_global``,
 ``qr_orthogonal_init`` and ``server_control_aggregate`` compute in
-preallocated or reused buffers. Client path: ``adamw_step`` with ``out=``,
-the packed [B | A | bias] client step, the factored head and
+preallocated or reused buffers, and the last folds rank-r control deltas
+into the leading block without padding them. Client path: ``adamw_step``
+with ``out=``, the packed [B | A | bias] client step, the factored head and
 ``_gradient_heterogeneity`` write in place, ``dirichlet_partition`` assigns
 from one sort of the labels, and ``init_federation`` puts the mapped
 features in client order in place (``permute_rows``). Each reference below is the
@@ -24,6 +25,7 @@ from fedqr.federation import FederationConfig, init_federation, run_round
 from fedqr.linalg import frobenius_norm, leading_qr, thin_qr
 from fedqr.model import factored_logits, factored_loss_and_grads
 from fedqr.optim import adamw_step, fresh_adamw_state, server_control_aggregate
+from fedqr.oracle import pad_delta
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -327,6 +329,39 @@ class TestBitIdentical:
         got = server_control_aggregate(global_c, deltas)
         assert same_bits(got, server_control_aggregate_reference(before, deltas))
         assert same_bits(global_c, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        server_rank=st.integers(1, 6),
+        extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        population=st.lists(st.integers(1, 6), min_size=2, max_size=9),
+        zeros=st.sampled_from(["none", "signed", "all"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_server_control_aggregate_at_client_rank(
+        self, server_rank, extra, population, zeros, seed
+    ):
+        # a random rank mix, of which a strict subset is sampled (participation
+        # < 1): the unpadded fold against the zero-padded sum, A and B sides
+        rng = np.random.default_rng(seed)
+        d, k = server_rank + extra[0], server_rank + extra[1]
+        ranks = [min(r, server_rank) for r in population]
+        sampled = rng.choice(len(ranks), size=int(rng.integers(1, len(ranks))), replace=False)
+        for axis, control_shape in ((0, (server_rank, k)), (1, (d, server_rank))):
+            global_c = rng.standard_normal(control_shape)
+            shapes = [(ranks[i], k) if axis == 0 else (d, ranks[i]) for i in sampled]
+            deltas = [rng.standard_normal(shape) for shape in shapes]
+            if zeros == "signed":
+                for array in (global_c, *deltas):
+                    signed_zeros(rng, array)
+            elif zeros == "all":
+                global_c[:] = -0.0
+                deltas = [np.full(shape, -0.0) for shape in shapes]
+            padded = [pad_delta(delta, server_rank, axis=axis) for delta in deltas]
+            before = global_c.copy()
+            got = server_control_aggregate(global_c, deltas)
+            assert same_bits(got, server_control_aggregate_reference(before, padded))
+            assert same_bits(global_c, before)
 
 
 class TestClientPathBitIdentical:

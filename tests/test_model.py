@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedqr.adapter import BaseWeight, LoraAdapter, effective_weight, factor_gradients
+from fedqr.adapter import BaseWeight, LoraAdapter, effective_weight
 from fedqr.linalg import ShapeError, frobenius_norm
 from fedqr.model import (
     EmptyBatchError,
     factored_logits,
     factored_loss_and_grads,
-    head_accuracy,
-    head_loss_and_grads,
     logit_loss_and_accuracy,
     model_features,
 )
+from fedqr.oracle import factor_gradients, head_accuracy, head_loss_and_grads
 
 
 def make_head(seed, d=6, k=4, zero=False):

@@ -8,14 +8,13 @@ from fedqr.optim import (
     ControlVariates,
     NonFiniteGradientError,
     adamw_step,
-    corrected_gradient,
     fresh_adamw_state,
     local_control_update,
-    pad_delta,
     server_control_aggregate,
     slice_controls,
     zero_controls,
 )
+from fedqr.oracle import corrected_gradient, pad_delta
 
 
 def scalar_adamw_reference(x, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
@@ -205,6 +204,14 @@ class TestServerAggregate:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             server_control_aggregate(np.zeros((1, 1)), [])
+
+    def test_delta_must_fit_in_the_control(self):
+        # a rank-2 A-side delta fills c_A's leading rows; one wider or taller than c_A does not fit
+        out = server_control_aggregate(np.zeros((3, 4)), [np.ones((2, 4))])
+        assert np.array_equal(out, np.vstack([np.ones((2, 4)), np.zeros((1, 4))]))
+        for shape in ((4, 4), (2, 5), (4,), (1, 2, 4)):
+            with pytest.raises(ShapeError):
+                server_control_aggregate(np.zeros((3, 4)), [np.zeros(shape)])
 
     def test_telescoping_over_rounds(self):
         """Global control equals the mean of local controls under full participation."""
