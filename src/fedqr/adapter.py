@@ -73,6 +73,10 @@ def qr_orthogonal_init(
     cross-client aggregation relies on. With ``client_rank == base_rank`` and
     ``scaling == 1`` the effective weight reproduces ``theta0`` exactly.
 
+    ``leading_qr`` forms only Q and R, no residual of the trailing columns;
+    the frozen base ``theta0 - Q R`` is written into the one d x k buffer of
+    the product. A NaN or Inf in ``theta0`` raises ``NonFiniteError``.
+
     ``scaling`` defaults to ``DEFAULT_LORA_ALPHA / client_rank``.
     """
     d, k = theta0.shape
@@ -81,7 +85,7 @@ def qr_orthogonal_init(
             f"need 0 < client_rank <= base_rank <= min(d, k); "
             f"got client_rank={client_rank}, base_rank={base_rank}, shape={(d, k)}"
         )
-    q, r, _ = leading_qr(theta0, base_rank)
+    q, r = leading_qr(theta0, base_rank)
     b = slice_cols(q, client_rank)
     a = slice_rows(r, client_rank)
     frozen = q @ r

@@ -90,15 +90,25 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
     Only the leading ``server_rank`` columns of Q and rows of R are formed
     (``leading_qr``); they are all a client can use, since client ranks never
     exceed the server rank. The truncation error is the residual of the
-    trailing columns after projection onto Q, which equals the norm of the
-    dense factorization's discarded block R[r_s:, :]. The identity
+    trailing columns after projection onto Q,
+    ||delta[:, r_s:] - Q R[:, r_s:]||_F, which equals the norm of the dense
+    factorization's discarded block R[r_s:, :] in exact arithmetic. It is
+    formed, squared and summed in the one rows x (cols - r_s) buffer that
+    holds ``Q R[:, r_s:]``; a residual that overflows from finite input gives
+    a nonfinite truncation error, without a numpy warning. The identity
     ||delta - B_s A_s||_F = truncation error is re-verified on every call;
     the two column blocks are disjoint, so only the leading block's residual
     is recomputed. Its tolerance scales with hypot(||R||_F, truncation
     error), which equals ||delta||_F in exact arithmetic because Q is
     orthonormal, and which needs no further pass over delta.
     """
-    q, r, truncation_error = leading_qr(delta, server_rank)
+    q, r = leading_qr(delta, server_rank)
+    trailing = delta[:, server_rank:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = q @ r[:, server_rank:]
+        np.subtract(trailing, tail, out=tail)
+        np.square(tail, out=tail)
+        truncation_error = float(np.sqrt(np.sum(tail)))
     head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
     residual = float(np.hypot(head_residual, truncation_error))
     scale = float(np.hypot(frobenius_norm(r), truncation_error))

@@ -26,11 +26,17 @@ PAPER_HETERO_ALPHA_GRID = (0.1, 0.5, 1.0)
 
 
 class ConfigParseError(ValueError):
-    """A config line failed to parse; message carries the line number."""
+    """A config line failed to parse; message carries the line number(s).
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    ``line_no`` is one line, or the ascending lines of every key an invariant
+    spans; the attribute keeps the first.
+    """
+
+    def __init__(self, line_no: int | list[int], message: str):
+        lines = [line_no] if isinstance(line_no, int) else line_no
+        where = "line" if len(lines) == 1 else "lines"
+        super().__init__(f"{where} {', '.join(map(str, lines))}: {message}")
+        self.line_no = lines[0]
 
 
 @dataclass
@@ -278,7 +284,8 @@ def parse_config(text: str) -> ExperimentSpec:
 
     A ``preset = <name>`` line (if any) is applied first; remaining keys
     override its values. A key may be given once. Errors carry the offending
-    line number (0 when the failing invariant spans several lines).
+    line number; when a section's combined values fail validation, the lines
+    of every key given for that section: ``lines 1, 3: ...``.
     """
     pairs: list[tuple[int, str, str]] = []
     preset_name = "default"
@@ -306,7 +313,11 @@ def parse_config(text: str) -> ExperimentSpec:
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigParseError(line_no, str(exc)) from exc
-    return _apply_updates(spec, updates, lambda keys, message: ConfigParseError(0, message))
+
+    def blame(keys, message):
+        return ConfigParseError([seen[key] for key in keys], message)
+
+    return _apply_updates(spec, updates, blame)
 
 
 def apply_env_overrides(spec: ExperimentSpec, environ=None) -> ExperimentSpec:

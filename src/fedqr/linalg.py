@@ -52,44 +52,37 @@ def thin_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def leading_qr(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Leading ``rank`` columns of Q and rows of R, plus the trailing-block norm.
+def leading_qr(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading ``rank`` columns of Q and rows of R of a QR factorization of ``m``.
 
     The first ``rank`` Householder steps of a QR factorization see only the
     first ``rank`` columns, so ``thin_qr(m[:, :rank])`` yields Q's leading
     columns and R's leading triangle; the rest of R's leading rows is the
-    projection ``Q^T m[:, rank:]``. Returns (Q, R, tail_norm) with Q of shape
-    (rows, rank), R of shape (rank, cols) and upper triangular in its leading
-    block, and tail_norm = ||m[:, rank:] - Q R[:, rank:]||_F, which equals
-    ||R_full[rank:, :]||_F of the dense factorization in exact arithmetic.
-    Costs O(rows * cols * rank) instead of the dense O(rows * cols^2).
+    projection ``Q^T m[:, rank:]``. Returns (Q, R) with Q of shape
+    (rows, rank) and R of shape (rank, cols), upper triangular in its leading
+    block. Costs O(rows * cols * rank) instead of the dense O(rows * cols^2),
+    and allocates nothing larger than Q and R: callers that need the
+    trailing block's residual (``aggregation.qr_compress``) form it
+    themselves.
 
-    R is written into one preallocated array, and the trailing residual is
-    formed, squared and summed in the one rows x (cols - rank) buffer that
-    holds ``Q R[:, rank:]``. A NaN or Inf in the input raises
-    ``NonFiniteError``: ``thin_qr`` checks the leading columns, and one in a
-    trailing column always makes the residual's sum nonfinite, which is the
-    only case that pays for a full finiteness test. Finite input whose
-    residual overflows returns a nonfinite tail_norm, without a numpy warning.
+    A NaN or Inf in the input raises ``NonFiniteError``: ``thin_qr`` checks
+    the leading columns, and one in trailing column j makes every entry of
+    R[:, j] = Q^T m[:, j] nonfinite, so only a nonfinite R pays for a full
+    test of ``m``. Finite input whose projection overflows returns a
+    nonfinite R, without a numpy warning.
     """
     if m.ndim != 2:
         raise ShapeError("leading_qr expects a 2-D matrix")
     if not 0 < rank <= min(m.shape):
         raise RankError(f"cannot take rank {rank} from shape {m.shape}")
     q, r_head = thin_qr(m[:, :rank])
-    trailing = m[:, rank:]
     r = np.empty((rank, m.shape[1]))
     r[:, :rank] = r_head
-    r_right = r[:, rank:]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(q.T, trailing, out=r_right)
-        residual = q @ r_right
-        np.subtract(trailing, residual, out=residual)
-        np.square(residual, out=residual)
-        tail_sq = np.sum(residual)
-    if not np.isfinite(tail_sq) and not np.all(np.isfinite(m)):
+        np.matmul(q.T, m[:, rank:], out=r[:, rank:])
+    if not np.all(np.isfinite(r)) and not np.all(np.isfinite(m)):
         raise NonFiniteError("leading_qr input contains NaN or Inf")
-    return q, r, float(np.sqrt(tail_sq))
+    return q, r
 
 
 def frobenius_norm(m: np.ndarray) -> float:

@@ -73,6 +73,31 @@ class TestParseConfig:
         assert spec.federation.lora_scaling is None
         assert spec.federation.hidden_dim == 12
 
+    def test_failed_one_key_section_names_its_line(self):
+        with pytest.raises(ConfigParseError) as info:
+            parse_config("federation.lr = -1\n")
+        assert str(info.value) == "line 1: lr must be finite and > 0, got -1.0"
+        assert info.value.line_no == 1
+        with pytest.raises(ConfigParseError) as info:
+            parse_config("federation.rounds = 3\n\ndata.spread = -1\n")
+        assert str(info.value) == "line 3: spread must be finite and >= 0, got -1.0"
+
+    def test_failed_two_key_section_names_both_lines(self):
+        text = "federation.client_ranks = 9,9,9,9,9,9,9,9\n# cap\nfederation.server_rank = 4\n"
+        with pytest.raises(ConfigParseError) as info:
+            parse_config(text)
+        assert str(info.value).startswith("lines 1, 3: ")
+        assert "server rank" in str(info.value)
+        assert info.value.line_no == 1
+
+    def test_cli_reports_the_failing_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("federation.lr = -1\n")
+        out = tmp_path / "m.jsonl"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 1: lr must be finite and > 0, got -1.0\n"
+        assert not out.exists()
+
     def test_key_given_twice_names_both_lines(self):
         with pytest.raises(ConfigParseError, match="given twice, on lines 1 and 3"):
             parse_config("federation.rounds = 3\n# again\nfederation.rounds = 7\n")

@@ -20,7 +20,7 @@ from fedqr.federation import (
     run_round,
     sampled_count,
 )
-from fedqr.linalg import frobenius_norm, subspace_residual, thin_qr
+from fedqr.linalg import frobenius_norm, leading_qr, subspace_residual, thin_qr
 from fedqr.oracle import head_accuracy, head_loss_and_grads
 
 
@@ -352,6 +352,35 @@ class TestRounds:
         assert excinfo.value.client_id is None
         assert excinfo.value.round_index == 1
         assert "nonfinite aggregate" in str(excinfo.value)
+
+    @pytest.mark.parametrize("method", ["ilora", "ilora_s"])
+    def test_projection_overflow_aborts_server_side(self, monkeypatch, method):
+        # a finite aggregate whose last column projects past the float range
+        # onto Q's first column: leading_qr returns an Inf in R, not an error
+        spec = preset_spec("canonical-noniid")
+        config = dataclasses.replace(spec.federation, method=method)
+        concat_reconstruct = federation.concat_reconstruct
+        fused = []
+
+        def overflowing_delta(updates):
+            delta = concat_reconstruct(updates)
+            q, _ = thin_qr(delta[:, : config.server_rank])
+            delta[:, -1] = 1e308 * np.sign(q[:, 0])
+            fused.append(delta)
+            return delta
+
+        monkeypatch.setattr(federation, "concat_reconstruct", overflowing_delta)
+        train, heldout = spec.build_datasets()
+        server, clients = init_federation(config, train, eval_dataset=heldout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RoundAbortedError) as excinfo:
+                run_round(server, clients, config)
+        assert excinfo.value.client_id is None
+        assert excinfo.value.round_index == 1
+        (delta,) = fused
+        assert np.all(np.isfinite(delta))
+        assert not np.all(np.isfinite(leading_qr(delta, config.server_rank)[1]))
 
 
 def dense_oracle_guard(monkeypatch):

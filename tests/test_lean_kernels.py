@@ -262,10 +262,9 @@ class TestBitIdentical:
     @given(case=aggregates())
     def test_leading_qr(self, case):
         m, rank = case
-        q, r, tail_norm = leading_qr(m, rank)
-        want_q, want_r, want_tail = leading_qr_reference(m, rank)
+        q, r = leading_qr(m, rank)
+        want_q, want_r, _ = leading_qr_reference(m, rank)
         assert same_bits(q, want_q) and same_bits(r, want_r)
-        assert tail_norm == want_tail
 
     @settings(max_examples=100, deadline=None)
     @given(case=aggregates())

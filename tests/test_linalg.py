@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedqr.adapter import qr_orthogonal_init
+from fedqr.aggregation import qr_compress
 from fedqr.linalg import (
     BasisError,
     NonFiniteError,
@@ -97,11 +101,12 @@ class TestLeadingQr:
     def test_matches_dense_qr_slices(self, kind, rows, cols, rank_fraction, seed):
         m = _leading_qr_case(kind, rows, cols, seed)
         rank = 1 + int(rank_fraction * (min(rows, cols) - 1))
-        q, r, tail_norm = leading_qr(m, rank)
+        q, r = leading_qr(m, rank)
         dense_q, dense_r = thin_qr(m)
         scale = 1.0 + frobenius_norm(m)
         assert q.shape == (rows, rank) and r.shape == (rank, cols)
         assert np.max(np.abs(r - dense_r[:rank])) <= 1e-12 * scale
+        tail_norm = qr_compress(m, rank).truncation_error
         assert abs(tail_norm - frobenius_norm(dense_r[rank:])) <= 1e-12 * scale
         # Q is unique only up to the first (numerically) zero pivot: past it
         # both factorizations complete the basis from roundoff
@@ -113,15 +118,15 @@ class TestLeadingQr:
 
     def test_zero_matrix_equals_dense_slices(self):
         m = np.zeros((6, 5))
-        q, r, tail_norm = leading_qr(m, 3)
+        q, r = leading_qr(m, 3)
         dense_q, _ = thin_qr(m)
         assert np.array_equal(q, dense_q[:, :3])
-        assert not r.any() and tail_norm == 0.0
+        assert not r.any() and qr_compress(m, 3).truncation_error == 0.0
 
     def test_full_rank_slice_has_no_tail(self):
         m = np.random.default_rng(6).standard_normal((7, 4))
-        q, r, tail_norm = leading_qr(m, 4)
-        assert tail_norm == 0.0
+        q, r = leading_qr(m, 4)
+        assert qr_compress(m, 4).truncation_error == 0.0
         assert frobenius_norm(q @ r - m) <= 1e-12 * frobenius_norm(m)
 
     def test_rank_bounds(self):
@@ -149,13 +154,71 @@ class TestLeadingQr:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_residual_returns_inf(self):
         m = 1e200 * np.random.default_rng(8).standard_normal((6, 5))
-        q, r, tail_norm = leading_qr(m, 2)
-        assert tail_norm == np.inf
+        q, r = leading_qr(m, 2)
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
+        # the truncation identity's norms of this 1e200-scale R overflow as
+        # well; run_round computes the aggregate under the same errstate
+        with np.errstate(over="ignore"):
+            assert qr_compress(m, 2).truncation_error == np.inf
+        # a tail orthogonal to Q overflows only in the residual, which
+        # qr_compress forms quietly
+        m = np.zeros((6, 5))
+        m[:2, :2] = [[1.0, 2.0], [3.0, -1.0]]
+        m[2:, 2:] = 1e200
+        assert qr_compress(m, 2).truncation_error == np.inf
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):
             leading_qr(np.ones(4), 1)
+
+
+def _projection_overflow_case():
+    # finite input whose rank-1 projection overflows: the trailing column
+    # 1e308 * sign(q) has R[0, 3] = 1e308 * ||q||_1 > 1.8e308
+    m = np.random.default_rng(9).standard_normal((6, 5))
+    q, _ = thin_qr(m[:, :1])
+    m[:, 3] = 1e308 * np.sign(q[:, 0])
+    return m
+
+
+def _init_at_rank(m, rank):
+    return qr_orthogonal_init(m, rank, rank, scaling=1.0)
+
+
+class TestFinitenessContract:
+    """A trailing column is tested only through the R it projects to."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", [leading_qr, qr_compress, _init_at_rank])
+    def test_nonfinite_trailing_column_raises(self, kernel, value):
+        m = np.random.default_rng(10).standard_normal((7, 6))
+        m[4, 5] = value
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            kernel(m, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_projection_overflow_returns_quietly(self):
+        m = _projection_overflow_case()
+        q, r = leading_qr(m, 1)
+        assert np.all(np.isfinite(q))
+        assert not np.isfinite(r[0, 3]) and np.all(np.isfinite(np.delete(r, 3, axis=1)))
+        assert not np.isfinite(qr_compress(m, 1).truncation_error)
+        base, _ = _init_at_rank(m, 1)
+        assert not np.all(np.isfinite(base.frozen))
+
+    def test_peak_memory_is_the_outputs(self):
+        # Q (256 x 16) and R (16 x 256) are 0.125 of m; a d x k temporary
+        # would be at least 1.0
+        m = np.random.default_rng(11).standard_normal((256, 256))
+        leading_qr(m, 16)  # first call loads LAPACK outside the trace
+        tracemalloc.start()
+        try:
+            leading_qr(m, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * m.nbytes
 
 
 class TestFrobenius:
