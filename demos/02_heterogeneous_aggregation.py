@@ -11,11 +11,11 @@ import numpy as np
 from fedqr import (
     ClientUpdate,
     LoraAdapter,
-    baseline_factor_average,
     concat_reconstruct,
     frobenius_norm,
     qr_compress,
 )
+from fedqr.aggregation import factor_means
 
 rng = np.random.default_rng(1)
 d, k = 16, 10
@@ -46,7 +46,8 @@ witness = [
     ClientUpdate(1, LoraAdapter(np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]), 1, 1.0), 5),
 ]
 correct = concat_reconstruct(witness)
-averaged = baseline_factor_average(witness)
+b_mean, a_mean = factor_means(witness)
+averaged = b_mean @ a_mean
 print("correct aggregate:\n", correct)
 print("factor-averaged aggregate:\n", averaged)
 print(f"factor-averaging bias (Frobenius): {frobenius_norm(averaged - correct)}")

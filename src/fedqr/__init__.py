@@ -11,7 +11,7 @@ Library layout:
                   features
 * ``data``        synthetic blobs and Dirichlet non-IID partitioning
 * ``optim``       AdamW plus control-variate drift correction
-* ``aggregation`` concatenated-QR fusion and baseline aggregators
+* ``aggregation`` concatenated-QR fusion and the baselines' factor pairs
 * ``federation``  round orchestration, metrics, communication accounting
 * ``config``      experiment specs, presets, metrics serialization
 * ``oracle``      slow dense references the production paths are checked
@@ -29,9 +29,7 @@ from .aggregation import (
     AggregationResult,
     ClientUpdate,
     apply_global,
-    baseline_factor_average,
     baseline_full_stack,
-    baseline_zero_pad,
     concat_reconstruct,
     personalize,
     qr_compress,

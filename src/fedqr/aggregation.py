@@ -2,9 +2,10 @@
 
 The exact route concatenates factors so the block product equals the weighted
 sum of per-client updates, then compresses it with a QR factorization of
-which only the leading server-rank block is formed. Baseline aggregators
-(factor averaging, zero padding, the raw stack) are kept for comparison;
-factor averaging is biased by construction, which is the point.
+which only the leading server-rank block is formed. The baselines' factor
+pairs (``factor_means`` for factor averaging and zero padding,
+``baseline_full_stack`` for the raw stack) are kept for comparison; the
+product of factor means is biased by construction, which is the point.
 
 Sample-count weights and each adapter's forward scaling are folded into the
 A-side blocks, so every aggregate below is expressed in true weight units.
@@ -23,10 +24,6 @@ from .linalg import RankError, ShapeError, frobenius_norm, leading_qr, slice_col
 
 # still importable from here: benchmarks/workloads.py traces it under this name
 from .linalg import thin_qr  # noqa: F401
-
-
-class RankCompatibilityError(RankError):
-    """A homogeneous-rank baseline was fed heterogeneous ranks."""
 
 
 @dataclass
@@ -48,14 +45,17 @@ class AggregationResult:
     """Leading server-rank QR factors of the aggregated update.
 
     ``q`` holds the leading r_s columns of Q and ``r`` the leading r_s rows of
-    R; the server adapter is exactly this pair, and every client slices its
-    own rank from them.
+    R; ``server_adapter`` is exactly this pair as a rank-r_s adapter, and
+    every client slices its own rank from them.
     """
 
     q: np.ndarray
     r: np.ndarray
-    server_adapter: LoraAdapter
     truncation_error: float
+
+    @property
+    def server_adapter(self) -> LoraAdapter:
+        return LoraAdapter(self.q, self.r, self.q.shape[1], scaling=1.0)
 
 
 def _sorted_updates(updates: list[ClientUpdate]) -> tuple[list[ClientUpdate], np.ndarray]:
@@ -94,13 +94,13 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
     ||delta[:, r_s:] - Q R[:, r_s:]||_F, which equals the norm of the dense
     factorization's discarded block R[r_s:, :] in exact arithmetic. It is
     formed, squared and summed in the one rows x (cols - r_s) buffer that
-    holds ``Q R[:, r_s:]``; a residual that overflows from finite input gives
-    a nonfinite truncation error, without a numpy warning. The identity
-    ||delta - B_s A_s||_F = truncation error is re-verified on every call;
-    the two column blocks are disjoint, so only the leading block's residual
-    is recomputed. Its tolerance scales with hypot(||R||_F, truncation
-    error), which equals ||delta||_F in exact arithmetic because Q is
-    orthonormal, and which needs no further pass over delta.
+    holds ``Q R[:, r_s:]``. The identity ||delta - B_s A_s||_F = truncation
+    error is re-verified on every call; the two column blocks are disjoint,
+    so only the leading block's residual is recomputed. Its tolerance scales
+    with hypot(||R||_F, truncation error), which equals ||delta||_F in exact
+    arithmetic because Q is orthonormal, and which needs no further pass over
+    delta. Finite input whose residual or norms overflow gives a nonfinite
+    truncation error, without a numpy warning.
     """
     q, r = leading_qr(delta, server_rank)
     trailing = delta[:, server_rank:]
@@ -109,20 +109,15 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
         np.subtract(trailing, tail, out=tail)
         np.square(tail, out=tail)
         truncation_error = float(np.sqrt(np.sum(tail)))
-    head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
-    residual = float(np.hypot(head_residual, truncation_error))
-    scale = float(np.hypot(frobenius_norm(r), truncation_error))
+        head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
+        residual = float(np.hypot(head_residual, truncation_error))
+        scale = float(np.hypot(frobenius_norm(r), truncation_error))
     if abs(residual - truncation_error) > 1e-9 * (1.0 + scale):
         raise ArithmeticError(
             f"truncation identity violated: residual {residual!r} vs "
             f"trailing-block norm {truncation_error!r}"
         )
-    return AggregationResult(
-        q=q,
-        r=r,
-        server_adapter=LoraAdapter(q, r, server_rank, scaling=1.0),
-        truncation_error=truncation_error,
-    )
+    return AggregationResult(q, r, truncation_error)
 
 
 def personalize(result: AggregationResult, client_rank: int) -> LoraAdapter:
@@ -131,7 +126,7 @@ def personalize(result: AggregationResult, client_rank: int) -> LoraAdapter:
     The available rank is the server rank: ``result`` holds only the leading
     r_s columns of Q and rows of R.
     """
-    available = result.server_adapter.rank
+    available = result.q.shape[1]
     if client_rank > available:
         raise RankError(f"client rank {client_rank} exceeds available rank {available}")
     b = slice_cols(result.q, client_rank)
@@ -179,30 +174,6 @@ def factor_means(
         b_mean[:, :r] += w * u.adapter.b_factor
         a_mean[:r, :] += w * u.adapter.scaling * u.adapter.a_factor
     return b_mean, a_mean
-
-
-def baseline_factor_average(updates: list[ClientUpdate]) -> np.ndarray:
-    """Biased factor-averaging aggregate: (sum p_k B_k)(sum p_k s_k A_k).
-
-    Requires homogeneous ranks; the averaged-product bias relative to
-    sum p_k s_k B_k A_k persists even then.
-    """
-    ranks = {u.adapter.rank for u in updates}
-    if len(ranks) > 1:
-        raise RankCompatibilityError(
-            f"rank-incompatible baseline: factor averaging needs equal ranks, got {sorted(ranks)}"
-        )
-    b_mean, a_mean = factor_means(updates)
-    return b_mean @ a_mean
-
-
-def baseline_zero_pad(updates: list[ClientUpdate], target_rank: int) -> np.ndarray:
-    """Zero-pad factors to a common rank, then factor-average.
-
-    Reduces to plain factor averaging when ranks are already homogeneous.
-    """
-    b_mean, a_mean = factor_means(updates, target_rank)
-    return b_mean @ a_mean
 
 
 def baseline_full_stack(updates: list[ClientUpdate]) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,9 @@ the server per the configured method, and record diagnostics.
 Conventions that keep the whole loop coherent:
 
 * The global model is anchored at the shared frozen base: every round it is
-  rebuilt as ``base + global_scale * aggregate`` from the clients' current
-  adapters, which carry the cumulative update under replace-semantics.
+  rebuilt as ``base + global_scale * B_g @ A_g``, where the factor pair
+  ``ServerState.broadcast_factors`` aggregates the clients' current adapters
+  under every method; they carry the cumulative update under replace-semantics.
 * Broadcast payloads are in true weight units (sample weights and adapter
   scaling folded in during aggregation), so installed adapters use scaling 1.
   The configured LoRA scaling therefore shapes the first round only.
@@ -37,8 +38,6 @@ from .aggregation import (
     AggregationResult,
     ClientUpdate,
     baseline_full_stack,
-    concat_reconstruct,
-    apply_global,
     factor_means,
     personalize,
     qr_compress,
@@ -65,8 +64,9 @@ from .optim import (
     zero_controls,
 )
 
-# oracles no round calls, kept importable from here only because
+# functions no round calls, kept importable from here only because
 # benchmarks/workloads.py traces these names in this module
+from .aggregation import apply_global, concat_reconstruct  # noqa: F401
 from .oracle import (  # noqa: F401
     corrected_gradient,
     factor_gradients,
@@ -260,7 +260,11 @@ class ServerState:
     global_model: np.ndarray
     global_bias: np.ndarray
     global_controls: ControlVariates
+    # the aggregate's leading QR, which clients personalize from; None under
+    # the averaging methods
     last_result: AggregationResult | None = None
+    # the global update (B_g, A_g): the aggregate's leading Q/R (ilora,
+    # ilora_s), the factor means (fedit_avg, zero_pad) or the stack (full_stack)
     broadcast_factors: tuple[np.ndarray, np.ndarray] | None = None
     # every client's training features and labels, in client order; each
     # ClientState holds a row view of its own shard
@@ -453,18 +457,16 @@ def init_federation(
     return server, clients
 
 
-def _broadcast_adapter(server: ServerState, config: FederationConfig, rank: int) -> LoraAdapter:
+def _broadcast_adapter(server: ServerState, rank: int) -> LoraAdapter:
     """Adapter a client installs at round start (true weight units, scaling 1).
 
-    QR methods slice the latest aggregation result; the full stack method is
-    numerically identical because the client's local QR of the shipped stack
-    product reproduces the same deterministic factors. Averaging baselines
-    install (slices of) the averaged factors.
+    A kept QR result (the QR methods, the full stack) is sliced; for the full
+    stack this is numerically identical because the client's local QR of the
+    shipped stack product reproduces the same deterministic factors.
+    Averaging baselines install (slices of) the averaged factors.
     """
-    if config.method in ("ilora", "ilora_s", "full_stack"):
-        assert server.last_result is not None
+    if server.last_result is not None:
         return personalize(server.last_result, rank)
-    assert server.broadcast_factors is not None
     b_mean, a_mean = server.broadcast_factors
     return LoraAdapter(slice_cols(b_mean, rank), slice_rows(a_mean, rank), rank, scaling=1.0)
 
@@ -587,7 +589,7 @@ def run_round(
         else:
             # copied into the packed parameters: the factor and bias views,
             # and the optimizer state over them, stay bound
-            incoming = _broadcast_adapter(server, config, client.rank)
+            incoming = _broadcast_adapter(server, client.rank)
             client.adapter.b_factor[...] = incoming.b_factor
             client.adapter.a_factor[...] = incoming.a_factor
             client.adapter.scaling = incoming.scaling
@@ -704,31 +706,33 @@ def _distance(scratch: np.ndarray, other: np.ndarray) -> float:
 
 def _aggregate(server: ServerState, config: FederationConfig, updates: list[ClientUpdate]) -> float:
     """Server fusion step; returns the truncation error actually incurred."""
-    if config.method in QR_METHODS:
-        delta = concat_reconstruct(updates)
-        result = qr_compress(delta, config.server_rank)
-        server.last_result = result
-        server.broadcast_factors = None
-        server.global_model = apply_global(server.base_frozen, result, config.global_scale)
-        if config.method == "ilora_s":
-            _fold_control_deltas(server, config, updates)
-        return result.truncation_error
+    truncation_error = 0.0  # the baselines' global updates are not truncated
     if config.method in ("fedit_avg", "zero_pad"):
         # zero_pad pads to the federation-wide max rank so any later-sampled
         # client fits; fedit_avg's ranks are homogeneous, so nothing pads
-        b_mean, a_mean = factor_means(updates, max(config.client_ranks))
-        delta = b_mean @ a_mean
-        server.broadcast_factors = (b_mean, a_mean)
+        server.broadcast_factors = factor_means(updates, max(config.client_ranks))
         server.last_result = None
-    elif config.method == "full_stack":
+    else:
+        # full_stack clients re-derive their slices from the shipped stack;
+        # this server-side QR is numerically identical to that computation
         b_stack, a_stack = baseline_full_stack(updates)
-        delta = b_stack @ a_stack
-        server.broadcast_factors = (b_stack, a_stack)
-        # clients re-derive personalized slices from the stack; the server-side
-        # QR below is numerically identical to that client-side computation
-        server.last_result = qr_compress(delta, config.server_rank)
-    server.global_model = server.base_frozen + config.global_scale * delta
-    return 0.0  # baseline global updates are applied without QR truncation
+        result = qr_compress(b_stack @ a_stack, config.server_rank)
+        server.last_result = result
+        if config.method in QR_METHODS:
+            server.broadcast_factors = (result.q, result.r)
+            truncation_error = result.truncation_error
+        else:
+            server.broadcast_factors = (b_stack, a_stack)
+        if config.method == "ilora_s":
+            _fold_control_deltas(server, config, updates)
+    # in place; + and * commute in IEEE arithmetic, so the bits are those of
+    # base_frozen + global_scale * (B_g @ A_g)
+    b_global, a_global = server.broadcast_factors
+    model = b_global @ a_global
+    model *= config.global_scale
+    model += server.base_frozen
+    server.global_model = model
+    return truncation_error
 
 
 def _fold_control_deltas(server, config, updates):
@@ -768,8 +772,7 @@ def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
 def _global_logits(server: ServerState, config: FederationConfig, split: str) -> np.ndarray:
     """Global-model logits on the "train" (pooled) or "heldout" split, in factored form.
 
-    The global update's factor pair is the aggregate's Q/R for the QR
-    methods and the broadcast factor means or stack otherwise, scaled by
+    The global update is ``server.broadcast_factors``, scaled by
     ``global_scale`` as in ``server.global_model``.
     """
     train_logits, heldout_logits = _frozen_logits(server)
@@ -777,10 +780,7 @@ def _global_logits(server: ServerState, config: FederationConfig, split: str) ->
         features, base_logits = server.pooled_train[0], train_logits
     else:
         features, base_logits = server.heldout[0], heldout_logits
-    if config.method in QR_METHODS:
-        b_factor, a_factor = server.last_result.q, server.last_result.r
-    else:
-        b_factor, a_factor = server.broadcast_factors
+    b_factor, a_factor = server.broadcast_factors
     return factored_logits(
         base_logits, features, b_factor, a_factor, config.global_scale, server.global_bias
     )

@@ -120,9 +120,6 @@ class ControlVariates:
                 f"controls {self.c_a.shape} / {self.c_b.shape} do not match rank {self.r_ref}"
             )
 
-    def copy(self) -> "ControlVariates":
-        return ControlVariates(self.c_a.copy(), self.c_b.copy(), self.r_ref)
-
 
 def zero_controls(d: int, k: int, r_ref: int) -> ControlVariates:
     return ControlVariates(c_a=np.zeros((r_ref, k)), c_b=np.zeros((d, r_ref)), r_ref=r_ref)

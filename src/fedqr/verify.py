@@ -20,8 +20,8 @@ import numpy as np
 from .adapter import BaseWeight, LoraAdapter, effective_weight
 from .aggregation import (
     ClientUpdate,
-    baseline_factor_average,
     concat_reconstruct,
+    factor_means,
     personalize,
     qr_compress,
 )
@@ -168,7 +168,8 @@ def check_bias_witness() -> CheckResult:
     correct = concat_reconstruct(updates)
     expected_correct = np.array([[0.5, 0.0], [0.0, 0.5]])
     exact_err = frobenius_norm(correct - expected_correct)
-    averaged = baseline_factor_average(updates)
+    b_mean, a_mean = factor_means(updates)
+    averaged = b_mean @ a_mean
     bias = frobenius_norm(averaged - correct)
     passed = abs(bias - 0.5) <= 1e-12 and exact_err <= 1e-12
     return CheckResult(

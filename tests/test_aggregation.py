@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fedqr import aggregation
 from fedqr.adapter import LoraAdapter
 from fedqr.aggregation import (
     ClientUpdate,
-    RankCompatibilityError,
     apply_global,
-    baseline_factor_average,
     baseline_full_stack,
-    baseline_zero_pad,
     concat_reconstruct,
+    factor_means,
     personalize,
     qr_compress,
 )
@@ -120,6 +121,28 @@ class TestQrCompress:
         errors = [qr_compress(delta, r).truncation_error for r in range(1, 9)]
         assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
 
+    def test_truncation_identity_mismatch_raises(self, monkeypatch):
+        # an R whose leading block no longer reproduces delta's leading
+        # columns breaks ||delta - Q R||_F = truncation error
+        leading_qr = aggregation.leading_qr
+
+        def perturbed(m, rank):
+            q, r = leading_qr(m, rank)
+            r[0, 0] += 1e-3
+            return q, r
+
+        monkeypatch.setattr(aggregation, "leading_qr", perturbed)
+        delta = np.random.default_rng(59).standard_normal((9, 7))
+        with pytest.raises(ArithmeticError, match="truncation identity violated"):
+            qr_compress(delta, 3)
+
+    def test_result_stores_only_q_r_and_error(self):
+        result = qr_compress(np.random.default_rng(60).standard_normal((9, 7)), 4)
+        assert [f.name for f in dataclasses.fields(result)] == ["q", "r", "truncation_error"]
+        adapter = result.server_adapter
+        assert adapter.b_factor is result.q and adapter.a_factor is result.r
+        assert adapter.rank == 4 and adapter.scaling == 1.0
+
     def test_server_adapter_orthonormal(self):
         delta = np.random.default_rng(58).standard_normal((9, 7))
         b = qr_compress(delta, 4).server_adapter.b_factor
@@ -198,10 +221,16 @@ class TestApplyGlobal:
             apply_global(np.zeros((5, 5)), result, 1.0)
 
 
+def factor_average(updates, rank=None):
+    """The averaging baselines' global update: the product of the factor means."""
+    b_mean, a_mean = factor_means(updates, rank)
+    return b_mean @ a_mean
+
+
 class TestBaselines:
     def test_factor_average_single_client_exact(self):
         (update,) = make_updates(66, [3])
-        out = baseline_factor_average([update])
+        out = factor_average([update])
         expected = update.adapter.b_factor @ update.adapter.a_factor
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -210,7 +239,7 @@ class TestBaselines:
             ClientUpdate(0, LoraAdapter(np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]), 1, 1.0), 4),
             ClientUpdate(1, LoraAdapter(np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]), 1, 1.0), 4),
         ]
-        averaged = baseline_factor_average(updates)
+        averaged = factor_average(updates)
         assert np.array_equal(averaged, np.full((2, 2), 0.25))
         correct = concat_reconstruct(updates)
         assert np.array_equal(correct, np.diag([0.5, 0.5]))
@@ -220,25 +249,18 @@ class TestBaselines:
         updates = make_updates(67, [2, 2])
         u0 = updates[0]
         updates[1] = ClientUpdate(1, u0.adapter.copy(), u0.sample_count)
-        averaged = baseline_factor_average(updates)
+        averaged = factor_average(updates)
         correct = concat_reconstruct(updates)
         assert frobenius_norm(averaged - correct) <= 1e-12
 
-    def test_factor_average_rejects_heterogeneous_ranks(self):
-        updates = make_updates(68, [2, 3])
-        with pytest.raises(RankCompatibilityError, match="rank-incompatible"):
-            baseline_factor_average(updates)
-
     def test_zero_pad_equals_average_for_homogeneous(self):
         updates = make_updates(69, [3, 3, 3], counts=[4, 6, 2])
-        assert np.allclose(
-            baseline_zero_pad(updates, 3), baseline_factor_average(updates), atol=1e-14
-        )
+        assert np.allclose(factor_average(updates, 5), factor_average(updates), atol=1e-14)
 
     def test_zero_pad_target_too_small(self):
         updates = make_updates(70, [2, 4])
         with pytest.raises(RankError):
-            baseline_zero_pad(updates, 3)
+            factor_average(updates, 3)
 
     def test_full_stack_product_equals_exact_reconstruction(self):
         updates = make_updates(71, [1, 3, 2], counts=[3, 9, 5], scalings=[1.0, 2.0, 0.5])
@@ -249,7 +271,7 @@ class TestBaselines:
     def test_single_client_baselines_exact(self):
         (update,) = make_updates(72, [2])
         exact = concat_reconstruct([update])
-        assert np.allclose(baseline_factor_average([update]), exact, atol=1e-12)
+        assert np.allclose(factor_average([update]), exact, atol=1e-12)
         b, a = baseline_full_stack([update])
         assert np.allclose(b @ a, exact, atol=1e-12)
 

@@ -353,23 +353,46 @@ class TestRounds:
         assert excinfo.value.round_index == 1
         assert "nonfinite aggregate" in str(excinfo.value)
 
+    @pytest.mark.parametrize("global_scale", [1.0, 0.5])
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_global_model_is_base_plus_scaled_factor_pair(
+        self, method, participation, global_scale
+    ):
+        # every method keeps its global update as one factor pair, and the
+        # global model is exactly base + global_scale * B_g A_g
+        ranks = (4, 4, 4, 4) if method == "fedit_avg" else (2, 3, 4, 4)
+        config = small_config(
+            method=method, client_ranks=ranks, participation=participation,
+            global_scale=global_scale,
+        )
+        server, clients = init_federation(config, small_dataset(config))
+        for _ in range(config.rounds):
+            server, _ = run_round(server, clients, config)
+            b_global, a_global = server.broadcast_factors
+            want = server.base_frozen + global_scale * (b_global @ a_global)
+            assert server.global_model.tobytes() == want.tobytes()
+            if method in federation.QR_METHODS:
+                assert b_global is server.last_result.q
+                assert a_global is server.last_result.r
+            assert (server.last_result is None) == (method in ("fedit_avg", "zero_pad"))
+
     @pytest.mark.parametrize("method", ["ilora", "ilora_s"])
     def test_projection_overflow_aborts_server_side(self, monkeypatch, method):
         # a finite aggregate whose last column projects past the float range
         # onto Q's first column: leading_qr returns an Inf in R, not an error
         spec = preset_spec("canonical-noniid")
         config = dataclasses.replace(spec.federation, method=method)
-        concat_reconstruct = federation.concat_reconstruct
+        qr_compress = federation.qr_compress
         fused = []
 
-        def overflowing_delta(updates):
-            delta = concat_reconstruct(updates)
-            q, _ = thin_qr(delta[:, : config.server_rank])
+        def overflowing_delta(delta, server_rank):
+            q, _ = thin_qr(delta[:, :server_rank])
             delta[:, -1] = 1e308 * np.sign(q[:, 0])
             fused.append(delta)
-            return delta
+            return qr_compress(delta, server_rank)
 
-        monkeypatch.setattr(federation, "concat_reconstruct", overflowing_delta)
+        monkeypatch.setattr(federation, "qr_compress", overflowing_delta)
         train, heldout = spec.build_datasets()
         server, clients = init_federation(config, train, eval_dataset=heldout)
         with warnings.catch_warnings():

@@ -157,9 +157,10 @@ class TestLeadingQr:
         q, r = leading_qr(m, 2)
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
         # the truncation identity's norms of this 1e200-scale R overflow as
-        # well; run_round computes the aggregate under the same errstate
-        with np.errstate(over="ignore"):
-            assert qr_compress(m, 2).truncation_error == np.inf
+        # well, quietly
+        assert qr_compress(m, 2).truncation_error == np.inf
+        m = 1e200 * np.random.default_rng(9).standard_normal((12, 8))
+        assert qr_compress(m, 3).truncation_error == np.inf
         # a tail orthogonal to Q overflows only in the residual, which
         # qr_compress forms quietly
         m = np.zeros((6, 5))

@@ -5,7 +5,9 @@ Every ``src/fedqr`` module other than ``oracle`` and ``verify`` is read with
 from ``oracle`` beyond ``REEXPORTS``: the names ``benchmarks/workloads.py``
 still looks up in production modules (its ``trace_targets()``), each kept in
 one commented re-export block. The list is pinned to those lookups, so it can
-only shrink.
+only shrink. The same holds for every name a production module imports but
+never references: those must be exactly the benchmark's lookups in it, so a
+trace-only import block goes once the trace stops reading it.
 """
 
 import ast
@@ -124,3 +126,60 @@ def test_reexports_are_exactly_the_benchmark_lookups_of_oracles():
 
 def test_package_exports_no_oracle():
     assert not set(fedqr.__dict__) & oracle_functions()
+
+
+def bound_and_used(source: str) -> tuple[set[str], set[str], set[str]]:
+    """(imported, defined, referenced) names anywhere in one module."""
+    imported, defined, referenced = set(), set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+    return imported, defined, referenced
+
+
+def unused_imports(source: str) -> set[str]:
+    imported, _, referenced = bound_and_used(source)
+    return imported - referenced
+
+
+def test_unused_imports_are_exactly_the_trace_only_lookups():
+    # __init__'s imports are the package's exports, not trace-only names
+    lookups = {}
+    for module, attr, _, _ in benchmark_workloads().trace_targets():
+        lookups.setdefault(module.__name__.removeprefix("fedqr."), set()).add(attr)
+    modules = dict(production_modules())
+    del modules["__init__"]
+    for name, source in modules.items():
+        _, defined, referenced = bound_and_used(source)
+        trace_only = lookups.get(name, set()) - defined - referenced
+        assert unused_imports(source) == trace_only, name
+    # the blocks that exist today, so a retargeted trace shows up here too
+    assert unused_imports(modules["aggregation"]) == {"thin_qr"}
+    assert unused_imports(modules["optim"]) == {"pad_delta"}
+    assert unused_imports(modules["federation"]) == {
+        "apply_global",
+        "concat_reconstruct",
+        "corrected_gradient",
+        "factor_gradients",
+        "head_accuracy",
+        "head_loss_and_grads",
+        "pad_delta",
+    }
+
+
+def test_unused_import_check_sees_names_in_any_position():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .linalg import thin_qr, leading_qr, ShapeError\n"
+        "def f(m: ShapeError) -> None:\n"
+        "    return np.sum(leading_qr(m, 1)[0])\n"
+    )
+    assert unused_imports(source) == {"thin_qr"}
