@@ -48,7 +48,7 @@ class DataParams:
     input_dim: int = 16  # >= classes: class c's mean sits on axis c
     spread: float = ranged(0.35, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
     eval_samples_per_class: int = ranged(50, lambda v: v >= 1, ">= 1")
-    eval_seed: int = 9999
+    eval_seed: int = ranged(9999, lambda v: v >= 0, ">= 0")
 
     def __post_init__(self):
         check_ranges(self)

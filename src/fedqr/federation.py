@@ -3,7 +3,9 @@
 Protocol summary per round: sample clients, broadcast the latest global state
 (personalized factor slices, plus global controls for the control-variate
 variant), run local epochs of mini-batch AdamW, upload adapters, aggregate on
-the server per the configured method, and record diagnostics.
+the server, and record diagnostics. A method is one row of ``METHOD_TRAITS``:
+its fusion (``qr``, ``mean`` or ``stack``), whether it tracks controls, and
+whether it allows mixed ranks. The round code reads these traits, never names.
 
 Conventions that keep the whole loop coherent:
 
@@ -30,6 +32,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +79,24 @@ from .oracle import (  # noqa: F401
     pad_delta,
 )
 
-METHODS = ("ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack")
-QR_METHODS = ("ilora", "ilora_s")
+
+class MethodTraits(NamedTuple):
+    """What a method does; the round code reads these traits, never its name."""
+
+    fusion: str  # "qr" (Q/R of the fused stack, sliced), "mean" or "stack"
+    controls: bool  # clients track control variates, the server folds them
+    mixed_ranks: bool  # clients may hold different ranks
+
+
+METHOD_TRAITS = MappingProxyType({
+    "ilora": MethodTraits("qr", controls=False, mixed_ranks=True),
+    "ilora_s": MethodTraits("qr", controls=True, mixed_ranks=True),
+    "fedit_avg": MethodTraits("mean", controls=False, mixed_ranks=False),
+    "zero_pad": MethodTraits("mean", controls=False, mixed_ranks=True),
+    "full_stack": MethodTraits("stack", controls=False, mixed_ranks=True),
+})
+METHODS = tuple(METHOD_TRAITS)
+QR_METHODS = tuple(m for m, traits in METHOD_TRAITS.items() if traits.fusion == "qr")
 
 BYTES_PER_FLOAT = 8
 
@@ -172,12 +192,15 @@ class FederationConfig:
     dirichlet_alpha: float = ranged(0.3, _positive, "finite and > 0")
     # None -> plain softmax regression
     hidden_dim: int | None = ranged(None, lambda v: v is None or v >= 1, "none or >= 1")
-    data_seed: int = 0
-    partition_seed: int = 1
-    train_seed: int = 2
+    data_seed: int = ranged(0, lambda v: v >= 0, ">= 0")
+    partition_seed: int = ranged(1, lambda v: v >= 0, ">= 0")
+    train_seed: int = ranged(2, lambda v: v >= 0, ">= 0")
 
     def __post_init__(self):
-        self.client_ranks = tuple(int(r) for r in self.client_ranks)
+        ranks = tuple(int(r) for r in self.client_ranks)
+        if ranks != tuple(self.client_ranks):
+            raise ConfigError(f"client ranks must be integers, got {self.client_ranks!r}")
+        self.client_ranks = ranks
         check_ranges(self)
         if len(self.client_ranks) != self.n_clients:
             raise ConfigError(
@@ -191,8 +214,8 @@ class FederationConfig:
             )
         if sampled_count(self.n_clients, self.participation) < 1:
             raise ConfigError("participation too small: no client would be sampled")
-        if self.method == "fedit_avg" and len(set(self.client_ranks)) > 1:
-            raise ConfigError("fedit_avg requires homogeneous client ranks")
+        if not METHOD_TRAITS[self.method].mixed_ranks and len(set(self.client_ranks)) > 1:
+            raise ConfigError(f"{self.method} requires homogeneous client ranks")
 
     def scaling_for(self, rank: int) -> float:
         if self.lora_scaling is not None:
@@ -314,37 +337,31 @@ def account_communication(config: FederationConfig, ctx: RoundContext) -> tuple[
     """Exact analytic byte counts (8-byte floats) for one round.
 
     Per sampled client of rank r: factor slices cost r*(d+k) floats each way.
-    The control-variate variant adds a global control broadcast of r_s*(d+k)
-    and a delta upload of r*(d+k). Zero padding ships averages padded to the
-    federation's max rank; the full stack ships the previous round's whole
-    concatenation to every client, priced from ``ctx.shipped_stack_rank``
+    The downlink follows the fusion: past the first round, which ships the
+    initial slices, QR fusion ships each client its slice and the others
+    ship the whole pair. Factor means are padded to the federation's max rank;
+    the stack is the previous round's, priced from ``ctx.shipped_stack_rank``
     (the current sample's rank sum when it is None, which matches the
-    simulator under full participation). The first round always ships the
-    initial per-client slices since no aggregate exists yet. Base weights and
-    the tiny bias vector are not part of the adapter-traffic model.
+    simulator under full participation). Controls add a broadcast of
+    r_s*(d+k) and a delta upload of r*(d+k). Base weights and the tiny bias
+    vector are not part of the adapter-traffic model.
     """
+    traits = METHOD_TRAITS[config.method]
     span = ctx.d + ctx.k
-    r_s = config.server_rank
-    stack_rank = ctx.shipped_stack_rank
-    if stack_rank is None:
-        stack_rank = sum(ctx.sampled_ranks)
+    pair_rank = max(config.client_ranks)
+    if traits.fusion == "stack":
+        pair_rank = ctx.shipped_stack_rank
+        if pair_rank is None:
+            pair_rank = sum(ctx.sampled_ranks)
     down = 0
     up = 0
     for r in ctx.sampled_ranks:
-        up += r * span
-        if config.method == "ilora_s":
-            up += r * span  # control delta at the client rank
-        if ctx.first_round or config.method in ("ilora", "fedit_avg"):
-            down += r * span
-        elif config.method == "ilora_s":
-            down += r * span
-        elif config.method == "zero_pad":
-            down += max(config.client_ranks) * span
-        elif config.method == "full_stack":
-            down += stack_rank * span
-        if config.method == "ilora_s":
-            down += r_s * span  # global controls, stored at the server rank
-    return down * BYTES_PER_FLOAT, up * BYTES_PER_FLOAT
+        down += r if ctx.first_round or traits.fusion == "qr" else pair_rank
+        up += r
+        if traits.controls:
+            down += config.server_rank  # global controls, stored at the server rank
+            up += r  # control delta at the client rank
+    return down * span * BYTES_PER_FLOAT, up * span * BYTES_PER_FLOAT
 
 
 def _pretrained_weight(d: int, k: int, train_seed: int) -> np.ndarray:
@@ -502,7 +519,7 @@ def _train_client(
     """
     d, k = client.base.frozen.shape
     global_ca, global_cb = slice_controls(server.global_controls, client.rank)
-    track_controls = config.method == "ilora_s"
+    track_controls = METHOD_TRAITS[config.method].controls
     round_delta_a = np.zeros_like(client.controls.c_a)
     round_delta_b = np.zeros_like(client.controls.c_b)
     base_logits = _frozen_logits(server)[0][client.rows]
@@ -580,13 +597,13 @@ def run_round(
         )
     sampled = [clients[i] for i in sampled_ids]
     first_round = server.round_index == 0
+    traits = METHOD_TRAITS[config.method]
 
     bytes_down = 0
     for client in sampled:
-        if first_round:
-            # clients already hold the init slices the server distributed
-            payload = (client.adapter.b_factor, client.adapter.a_factor)
-        else:
+        # the client's slice: in round 1 the init slice it already holds
+        payload = (client.adapter.b_factor, client.adapter.a_factor)
+        if not first_round:
             # copied into the packed parameters: the factor and bias views,
             # and the optimizer state over them, stay bound
             incoming = _broadcast_adapter(server, client.rank)
@@ -594,13 +611,11 @@ def run_round(
             client.adapter.a_factor[...] = incoming.a_factor
             client.adapter.scaling = incoming.scaling
             client.bias[...] = server.global_bias
-            if config.method in ("zero_pad", "full_stack"):
-                # padded averages / the whole stack ship; clients slice locally
+            if traits.fusion != "qr":
+                # the factor means / the whole stack ship; clients slice locally
                 payload = server.broadcast_factors
-            else:
-                payload = (client.adapter.b_factor, client.adapter.a_factor)
         bytes_down += sum(p.size for p in payload) * BYTES_PER_FLOAT
-        if config.method == "ilora_s":
+        if traits.controls:
             bytes_down += (
                 server.global_controls.c_a.size + server.global_controls.c_b.size
             ) * BYTES_PER_FLOAT
@@ -706,10 +721,11 @@ def _distance(scratch: np.ndarray, other: np.ndarray) -> float:
 
 def _aggregate(server: ServerState, config: FederationConfig, updates: list[ClientUpdate]) -> float:
     """Server fusion step; returns the truncation error actually incurred."""
+    traits = METHOD_TRAITS[config.method]
     truncation_error = 0.0  # the baselines' global updates are not truncated
-    if config.method in ("fedit_avg", "zero_pad"):
-        # zero_pad pads to the federation-wide max rank so any later-sampled
-        # client fits; fedit_avg's ranks are homogeneous, so nothing pads
+    if traits.fusion == "mean":
+        # pads to the federation-wide max rank so any later-sampled client
+        # fits; with equal ranks nothing pads
         server.broadcast_factors = factor_means(updates, max(config.client_ranks))
         server.last_result = None
     else:
@@ -718,13 +734,13 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
         b_stack, a_stack = baseline_full_stack(updates)
         result = qr_compress(b_stack @ a_stack, config.server_rank)
         server.last_result = result
-        if config.method in QR_METHODS:
+        if traits.fusion == "qr":
             server.broadcast_factors = (result.q, result.r)
             truncation_error = result.truncation_error
         else:
             server.broadcast_factors = (b_stack, a_stack)
-        if config.method == "ilora_s":
-            _fold_control_deltas(server, config, updates)
+    if traits.controls:
+        _fold_control_deltas(server, config, updates)
     # in place; + and * commute in IEEE arithmetic, so the bits are those of
     # base_frozen + global_scale * (B_g @ A_g)
     b_global, a_global = server.broadcast_factors

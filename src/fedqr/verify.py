@@ -28,6 +28,8 @@ from .aggregation import (
 from .config import ExperimentSpec, experiment_seeds, preset_spec
 from .data import generate_blobs
 from .federation import (
+    METHOD_TRAITS,
+    METHODS,
     FederationConfig,
     RoundContext,
     account_communication,
@@ -496,7 +498,7 @@ def check_communication_accounting() -> CheckResult:
 
     The grid covers full participation at equal ranks and partial
     participation (0.5, 0.25) at heterogeneous ranks, for every method
-    (factor averaging, which needs equal ranks, runs at the largest rank).
+    (a method that needs equal ranks runs them at the largest rank).
     Sampled clients are read off the optimizer step counters; the full stack
     ships the previous round's stack, priced from that round's sample.
     """
@@ -512,8 +514,8 @@ def check_communication_accounting() -> CheckResult:
     for ranks, d_in, classes, participation in grid:
         n_clients = len(ranks)
         per_method_down = {}
-        for method in ("ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack"):
-            client_ranks = (max(ranks),) * n_clients if method == "fedit_avg" else ranks
+        for method in METHODS:
+            client_ranks = ranks if METHOD_TRAITS[method].mixed_ranks else (max(ranks),) * n_clients
             config = FederationConfig(
                 n_clients=n_clients,
                 client_ranks=client_ranks,

@@ -232,6 +232,9 @@ FEDERATION_RANGES = {
     "global_scale": ([math.nan, math.inf, -math.inf], [-2.0, 0.0, 1e308]),
     "dirichlet_alpha": ([0.0, -0.5, math.nan, math.inf], [1e6]),
     "hidden_dim": ([0, -3], [None, 1]),
+    "data_seed": ([-1], [0]),
+    "partition_seed": ([-1], [0]),
+    "train_seed": ([-3], [0]),
 }
 DATA_RANGES = {
     "classes": ([0, -1], [1]),
@@ -239,14 +242,19 @@ DATA_RANGES = {
     "eval_samples_per_class": ([0], [1]),
     "input_dim": ([7], [8]),  # the default has 8 classes
     "spread": ([-0.1, math.nan, math.inf], [0.0]),
+    "eval_seed": ([-3], [0]),
 }
 
 
 class TestFieldRanges:
     @pytest.mark.parametrize(
         "cls, ranges, name",
-        [(FederationConfig, FEDERATION_RANGES, n) for n in FEDERATION_RANGES]
-        + [(DataParams, DATA_RANGES, n) for n in DATA_RANGES],
+        # the seed rows last, so every other row keeps its test id
+        sorted(
+            [(FederationConfig, FEDERATION_RANGES, n) for n in FEDERATION_RANGES]
+            + [(DataParams, DATA_RANGES, n) for n in DATA_RANGES],
+            key=lambda param: param[2].endswith("_seed"),
+        ),
     )
     def test_field_range(self, cls, ranges, name):
         rejected, accepted = ranges[name]
@@ -259,24 +267,35 @@ class TestFieldRanges:
             assert getattr(dataclasses.replace(cls(), **ranks, **{name: value}), name) == value
 
     @pytest.mark.parametrize(
-        "env",
+        "env, args",
         [
-            {"FEDQR_FEDERATION__LR": "-1"},
-            {"FEDQR_FEDERATION__BETA1": "1.0"},
-            {"FEDQR_FEDERATION__LORA_SCALING": "nan"},
-            {"FEDQR_DATA__SPREAD": "-1"},
+            ({"FEDQR_FEDERATION__LR": "-1"}, []),
+            ({"FEDQR_FEDERATION__BETA1": "1.0"}, []),
+            ({"FEDQR_FEDERATION__LORA_SCALING": "nan"}, []),
+            ({"FEDQR_DATA__SPREAD": "-1"}, []),
             # found only at set-up: the server rank exceeds min(d, k) = 8,
             # and 2 samples cannot go to 8 clients
-            {"FEDQR_FEDERATION__SERVER_RANK": "12", "FEDQR_FEDERATION__CLIENT_RANKS": "4,4,4,4,4,4,4,4"},
-            {"FEDQR_DATA__CLASSES": "2", "FEDQR_DATA__SAMPLES_PER_CLASS": "1"},
+            (
+                {"FEDQR_FEDERATION__SERVER_RANK": "12",
+                 "FEDQR_FEDERATION__CLIENT_RANKS": "4,4,4,4,4,4,4,4"},
+                [],
+            ),
+            ({"FEDQR_DATA__CLASSES": "2", "FEDQR_DATA__SAMPLES_PER_CLASS": "1"}, []),
+            # negative seeds would reach numpy's generators
+            ({"FEDQR_FEDERATION__TRAIN_SEED": "-3"}, []),
+            ({}, ["--seed", "-1"]),
         ],
-        ids=["lr", "beta1", "lora_scaling", "spread", "server_rank", "partition"],
+        ids=[
+            "lr", "beta1", "lora_scaling", "spread", "server_rank", "partition",
+            "train_seed", "seed",
+        ],
     )
-    def test_cli_config_error_exits_2(self, tmp_path, monkeypatch, capsys, env):
+    def test_cli_config_error_exits_2(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         out = tmp_path / "m.jsonl"
-        assert cli.main(["run", "--preset", "default", "--rounds", "3", "--out", str(out)]) == 2
+        argv = ["run", "--preset", "default", "--rounds", "3", "--out", str(out), *args]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()

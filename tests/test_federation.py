@@ -9,6 +9,7 @@ from fedqr import adapter, federation, model, oracle
 from fedqr.config import preset_spec
 from fedqr.data import dirichlet_partition, generate_blobs
 from fedqr.federation import (
+    METHOD_TRAITS,
     METHODS,
     ConfigError,
     FederationConfig,
@@ -42,6 +43,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return FederationConfig(**base)
+
+
+def method_ranks(method):
+    """Mixed ranks, or equal ones for a method that needs them."""
+    return (2, 3, 4, 4) if METHOD_TRAITS[method].mixed_ranks else (4, 4, 4, 4)
 
 
 def small_dataset(config, classes=8, spc=25, d_in=16, spread=0.3):
@@ -92,9 +98,15 @@ class TestConfigValidation:
             small_config(participation=0.1)  # floor(0.1 * 4) = 0
 
     def test_fedit_needs_homogeneous_ranks(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^fedit_avg requires homogeneous client ranks$"):
             small_config(method="fedit_avg")
         small_config(method="fedit_avg", client_ranks=(4, 4, 4, 4))
+
+    def test_fractional_rank_rejected(self):
+        with pytest.raises(ConfigError, match="client ranks must be integers"):
+            FederationConfig(n_clients=2, client_ranks=(4, 2.9), server_rank=4)
+        ranks = FederationConfig(n_clients=2, client_ranks=(4, 2.0), server_rank=4).client_ranks
+        assert ranks == (4, 2) and all(type(r) is int for r in ranks)
 
     def test_floor_guard_against_float_droop(self):
         assert sampled_count(10, 0.7) == 7
@@ -361,7 +373,7 @@ class TestRounds:
     ):
         # every method keeps its global update as one factor pair, and the
         # global model is exactly base + global_scale * B_g A_g
-        ranks = (4, 4, 4, 4) if method == "fedit_avg" else (2, 3, 4, 4)
+        ranks = method_ranks(method)
         config = small_config(
             method=method, client_ranks=ranks, participation=participation,
             global_scale=global_scale,
@@ -375,7 +387,47 @@ class TestRounds:
             if method in federation.QR_METHODS:
                 assert b_global is server.last_result.q
                 assert a_global is server.last_result.r
-            assert (server.last_result is None) == (method in ("fedit_avg", "zero_pad"))
+            assert (server.last_result is None) == (METHOD_TRAITS[method].fusion == "mean")
+
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    def test_fedit_avg_is_zero_pad_at_equal_ranks(self, participation):
+        # the two differ only in fedit_avg's rank rule
+        heldout = generate_blobs(8, 10, 16, 0.3, 999)
+        records = []
+        for method in ("fedit_avg", "zero_pad"):
+            config = small_config(
+                method=method, client_ranks=(4, 4, 4, 4), participation=participation,
+                rounds=4, lora_scaling=None,
+            )
+            metrics = run_federation(config, small_dataset(config), heldout)
+            records.append([json.dumps(m.to_dict()) for m in metrics])
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lora_scaling_shapes_round_one_only(self, method, participation):
+        # lora_alpha / rank scales the initial slices; every later broadcast
+        # is in weight units and installs scaling 1
+        config = small_config(
+            method=method, client_ranks=method_ranks(method), participation=participation,
+            lora_scaling=None,
+        )
+        server, clients = init_federation(config, small_dataset(config))
+        assert [c.adapter.scaling for c in clients] == [16.0 / c.rank for c in clients]
+        server, _ = run_round(server, clients, config)
+        steps = [c.opt_state.step for c in clients]
+        server, _ = run_round(server, clients, config)
+        sampled = [c for c, step in zip(clients, steps) if c.opt_state.step != step]
+        assert sampled and all(c.adapter.scaling == 1.0 for c in sampled)
+        # what round 3 installs: the leading r-slice of the kept Q/R, or of
+        # the factor means when no QR is kept
+        result = server.last_result
+        b_kept, a_kept = server.broadcast_factors if result is None else (result.q, result.r)
+        for rank in sorted(set(config.client_ranks)):
+            incoming = federation._broadcast_adapter(server, rank)
+            assert incoming.scaling == 1.0
+            product = incoming.b_factor @ incoming.a_factor
+            assert product.tobytes() == (b_kept[:, :rank] @ a_kept[:rank]).tobytes()
 
     @pytest.mark.parametrize("method", ["ilora", "ilora_s"])
     def test_projection_overflow_aborts_server_side(self, monkeypatch, method):
@@ -486,7 +538,7 @@ class TestFactoredHead:
     @pytest.mark.parametrize("participation", [1.0, 0.5])
     @pytest.mark.parametrize("method", METHODS)
     def test_global_metrics_match_dense_evaluation(self, method, participation):
-        ranks = (4, 4, 4, 4) if method == "fedit_avg" else (2, 3, 4, 4)
+        ranks = method_ranks(method)
         config = small_config(
             method=method, client_ranks=ranks, participation=participation,
             hidden_dim=10, rounds=3, global_scale=0.5,
@@ -530,9 +582,9 @@ class TestRunFederation:
         _, direct = run_round(server, clients, config)
         assert json.dumps(via_loop[0].to_dict()) == json.dumps(direct.to_dict())
 
-    @pytest.mark.parametrize("method", ["ilora", "ilora_s", "fedit_avg", "zero_pad", "full_stack"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs(self, method):
-        ranks = (4, 4, 4, 4) if method == "fedit_avg" else (2, 3, 4, 4)
+        ranks = method_ranks(method)
         config = small_config(method=method, client_ranks=ranks, rounds=2)
         ds = small_dataset(config)
         metrics = run_federation(config, ds)
@@ -603,6 +655,25 @@ class TestCommunicationModel:
             shipped = sum(ranks)
         current = dataclasses.replace(ctx, shipped_stack_rank=None)
         assert account_communication(config, current)[0] != metrics.bytes_down
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_analytic_bytes_match_measured_counters(self, method):
+        config = small_config(
+            method=method, client_ranks=method_ranks(method) * 2, n_clients=8,
+            participation=0.5, rounds=4,
+        )
+        server, clients = init_federation(config, small_dataset(config))
+        shipped = None
+        for round_index in range(config.rounds):
+            steps = [c.opt_state.step for c in clients]
+            server, metrics = run_round(server, clients, config)
+            ranks = tuple(c.rank for c, s in zip(clients, steps) if c.opt_state.step != s)
+            ctx = RoundContext(
+                sampled_ranks=ranks, d=16, k=8, first_round=round_index == 0,
+                shipped_stack_rank=shipped,
+            )
+            assert account_communication(config, ctx) == (metrics.bytes_down, metrics.bytes_up)
+            shipped = sum(ranks)
 
     def test_control_traffic_added_for_drift_corrected_variant(self):
         plain = small_config(method="ilora", client_ranks=(4, 4, 4, 4))
