@@ -97,8 +97,17 @@ def qr_orthogonal_init(
 
 
 def effective_weight(base: BaseWeight, adapter: LoraAdapter) -> np.ndarray:
+    """New array ``base.frozen + scaling * B @ A``.
+
+    The product is scaled and shifted in place, as in ``apply_global``, so
+    only one d x k array is written; + and * commute in IEEE arithmetic, so
+    the bits are those of the expression.
+    """
     if adapter.shape != base.frozen.shape:
         raise ShapeError(
             f"adapter produces {adapter.shape}, base is {base.frozen.shape}"
         )
-    return base.frozen + adapter.scaling * (adapter.b_factor @ adapter.a_factor)
+    weight = adapter.b_factor @ adapter.a_factor
+    weight *= adapter.scaling
+    weight += base.frozen
+    return weight

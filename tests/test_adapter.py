@@ -84,6 +84,14 @@ class TestEffectiveWeight:
         expected = frozen + 1.7 * np.outer(b[:, 0], a[0, :])
         assert np.allclose(effective_weight(base, adapter), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("scaling", [1.0, 16.0 / 3, 1e-3])
+    def test_bits_of_the_expression_in_one_new_array(self, scaling):
+        _, base, adapter = random_setup(22, d=40, k=24, scaling=scaling)
+        weight = effective_weight(base, adapter)
+        expected = base.frozen + scaling * (adapter.b_factor @ adapter.a_factor)
+        assert weight.tobytes() == expected.tobytes()
+        assert weight.base is None and not np.shares_memory(weight, base.frozen)
+
     def test_shape_mismatch(self):
         _, base, _ = random_setup(18)
         bad = LoraAdapter(np.zeros((3, 1)), np.zeros((1, 2)), 1, 1.0)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from fedqr import adapter, federation, model, oracle
-from fedqr.config import preset_spec
+from fedqr.config import PRESETS, preset_spec
 from fedqr.data import dirichlet_partition, generate_blobs
 from fedqr.federation import (
     METHOD_TRAITS,
@@ -105,6 +107,9 @@ class TestConfigValidation:
     def test_fractional_rank_rejected(self):
         with pytest.raises(ConfigError, match="client ranks must be integers"):
             FederationConfig(n_clients=2, client_ranks=(4, 2.9), server_rank=4)
+        for rank in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="client ranks must be integers"):
+                FederationConfig(n_clients=2, client_ranks=(4, rank), server_rank=4)
         ranks = FederationConfig(n_clients=2, client_ranks=(4, 2.0), server_rank=4).client_ranks
         assert ranks == (4, 2) and all(type(r) is int for r in ranks)
 
@@ -560,6 +565,137 @@ class TestFactoredHead:
             records.append(json.dumps(metrics.to_dict()))
         rerun = run_federation(config, ds, heldout)
         assert [json.dumps(m.to_dict()) for m in rerun] == records
+
+
+def overlap_every_layer(monkeypatch):
+    """Make run_round use its helper thread at every layer size."""
+    monkeypatch.setattr(federation, "_OVERLAP_MIN_WEIGHT_SIZE", 0)
+
+
+def client_states(clients) -> list[tuple]:
+    return [
+        tuple(
+            x.tobytes()
+            for x in (c.params, c.opt_state.m, c.opt_state.v, c.controls.c_a, c.controls.c_b)
+        )
+        + (c.opt_state.step,)
+        for c in clients
+    ]
+
+
+class TestOverlappedRound:
+    """run_round's helper thread moves work between threads, never a bit."""
+
+    @pytest.mark.parametrize("hidden_dim", [None, 24])
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_records_match_the_serial_path(
+        self, monkeypatch, method, participation, hidden_dim
+    ):
+        config = small_config(
+            method=method, client_ranks=method_ranks(method), participation=participation,
+            hidden_dim=hidden_dim, rounds=3,
+        )
+        ds = small_dataset(config)
+        heldout = generate_blobs(8, 10, 16, 0.3, 999)
+        serial = [json.dumps(m.to_dict()) for m in run_federation(config, ds, heldout)]
+
+        overlap_every_layer(monkeypatch)
+        trained_on = set()
+        train_client = federation._train_client
+
+        def record_thread(*args, **kwargs):
+            trained_on.add(threading.get_ident())
+            return train_client(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "_train_client", record_thread)
+        threads = threading.active_count()
+        overlapped = [json.dumps(m.to_dict()) for m in run_federation(config, ds, heldout)]
+        assert threading.active_count() == threads
+        assert trained_on and threading.get_ident() not in trained_on
+        assert overlapped == serial
+
+    def test_records_match_under_fast_thread_switching(self, monkeypatch):
+        # the diagnostic must read copies of the broadcast state: with the
+        # interpreter switching threads every microsecond, it would otherwise
+        # see factors that the helper's training has already moved
+        config = small_config(method="ilora_s", hidden_dim=24, local_epochs=2, rounds=3)
+        ds = small_dataset(config)
+        serial = [json.dumps(m.to_dict()) for m in run_federation(config, ds)]
+        overlap_every_layer(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = [json.dumps(m.to_dict()) for m in run_federation(config, ds)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sys.getswitchinterval() == interval
+        assert overlapped == serial
+
+    def test_client_abort_matches_the_serial_path(self, monkeypatch):
+        def aborted_round():
+            config = small_config(method="ilora_s", local_epochs=2)
+            server, clients = init_federation(config, small_dataset(config))
+            server, _ = run_round(server, clients, config)
+            clients[2].features[-1, 0] = np.nan
+            threads = threading.active_count()
+            with pytest.raises(RoundAbortedError) as excinfo:
+                run_round(server, clients, config)
+            assert threading.active_count() == threads
+            return excinfo.value, client_states(clients)
+
+        serial_error, serial_states = aborted_round()
+        overlap_every_layer(monkeypatch)
+        error, states = aborted_round()
+        assert (error.round_index, error.client_id) == (2, 2)
+        assert str(error) == str(serial_error)
+        # the client after the failing one never trained
+        assert states == serial_states
+
+    def test_server_abort_joins_the_helper_without_numpy_warnings(self, monkeypatch):
+        # the held-out forward runs on the helper, and its scaled low-rank
+        # term overflows: numpy's error state must be quiet on that thread too
+        overlap_every_layer(monkeypatch)
+        spec = preset_spec("canonical-noniid")
+        config = dataclasses.replace(spec.federation, global_scale=1e308)
+        train, heldout = spec.build_datasets()
+        heldout.features *= 1e3
+        server, clients = init_federation(config, train, eval_dataset=heldout)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RoundAbortedError) as excinfo:
+                run_round(server, clients, config)
+        assert threading.active_count() == threads
+        assert excinfo.value.client_id is None
+        assert excinfo.value.round_index == 1
+
+    def test_helper_exception_is_raised_first(self):
+        def background():
+            raise KeyError("helper")
+
+        def foreground():
+            raise ValueError("caller")
+
+        threads = threading.active_count()
+        with pytest.raises(KeyError):
+            federation._alongside(background, foreground, threaded=True)
+        assert threading.active_count() == threads
+        with pytest.raises(ValueError):
+            federation._alongside(background, foreground, threaded=False)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_no_preset_starts_a_thread(self, monkeypatch, preset):
+        spec = preset_spec(preset)
+        train, heldout = spec.build_datasets()
+        server, clients = init_federation(spec.federation, train, eval_dataset=heldout)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError(f"{preset} started a thread")
+
+        monkeypatch.setattr(federation.threading, "Thread", no_thread)
+        for _ in range(2):
+            server, _ = run_round(server, clients, spec.federation)
 
 
 class TestRunFederation:

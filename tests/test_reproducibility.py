@@ -1,9 +1,11 @@
 """Bit-reproducibility given the seeds, as a property of one process.
 
 The same config must give the same metrics bytes whatever the heap looks
-like: after odd-sized arrays were allocated and freed, and with inputs whose
-data starts 8 bytes off their allocation. A kernel whose rounding followed
-the alignment of its operands would show up here as a differing record.
+like: after odd-sized arrays were allocated and freed, with inputs whose
+data starts 8 bytes off their allocation, and with client training and the
+held-out forward on run_round's helper thread, whose arrays come from another
+malloc arena. A kernel whose rounding followed the alignment of its operands
+would show up here as a differing record.
 """
 
 import json
@@ -11,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from fedqr import federation
 from fedqr.config import preset_spec
 from fedqr.data import Dataset
 from fedqr.federation import run_federation
@@ -39,20 +42,31 @@ def shifted(dataset: Dataset) -> Dataset:
     return Dataset(view, dataset.labels.copy(), dataset.n_classes)
 
 
-def test_records_survive_heap_perturbation_and_shifted_inputs():
+def assert_same_records(got_records, want_records, label):
+    assert len(got_records) == len(want_records)
+    for got, want in zip(got_records, want_records):
+        if json.dumps(got) != json.dumps(want):
+            key = next(k for k in want if json.dumps(got[k]) != json.dumps(want[k]))
+            raise AssertionError(
+                f"{label}, round {want['round']}: {key} {got[key]!r} != {want[key]!r}"
+            )
+
+
+def test_records_survive_heap_perturbation_and_shifted_inputs(monkeypatch):
     spec = small_hetero_spec()
     train, heldout = spec.build_datasets()
     first = records(spec, train, heldout)
+    assert len(first) == spec.federation.rounds
 
     rng = np.random.default_rng(0)
     ballast = [np.full(int(n), 1.0) for n in 2 * rng.integers(1, 4000, size=300) + 1]
     del ballast[::2]  # leave holes of odd sizes between live blocks
     moved_train, moved_heldout = shifted(train), shifted(heldout)
     second = records(spec, moved_train, moved_heldout)
+    # the helper thread at this layer size too
+    monkeypatch.setattr(federation, "_OVERLAP_MIN_WEIGHT_SIZE", 0)
+    threaded = records(spec, moved_train, moved_heldout)
     del ballast
 
-    assert len(second) == len(first) == spec.federation.rounds
-    for got, want in zip(second, first):
-        if json.dumps(got) != json.dumps(want):
-            key = next(k for k in want if json.dumps(got[k]) != json.dumps(want[k]))
-            raise AssertionError(f"round {want['round']}: {key} {got[key]!r} != {want[key]!r}")
+    assert_same_records(second, first, "perturbed heap")
+    assert_same_records(threaded, first, "perturbed heap, helper thread")
