@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankError, ShapeError, leading_qr, slice_cols, slice_rows
+from .linalg import RankError, ShapeError, leading_qr, low_rank_update, slice_cols, slice_rows
 
 DEFAULT_LORA_ALPHA = 16.0
 
@@ -74,8 +74,10 @@ def qr_orthogonal_init(
     ``scaling == 1`` the effective weight reproduces ``theta0`` exactly.
 
     ``leading_qr`` forms only Q and R, no residual of the trailing columns;
-    the frozen base ``theta0 - Q R`` is written into the one d x k buffer of
-    the product. A NaN or Inf in ``theta0`` raises ``NonFiniteError``.
+    the frozen base ``theta0 - Q R`` is ``linalg.low_rank_update`` at scale
+    -1, which writes one d x k buffer: negation is exact and a + (-b) is
+    a - b in IEEE arithmetic, so the bits are those of the difference. A NaN
+    or Inf in ``theta0`` raises ``NonFiniteError``.
 
     ``scaling`` defaults to ``DEFAULT_LORA_ALPHA / client_rank``.
     """
@@ -88,8 +90,7 @@ def qr_orthogonal_init(
     q, r = leading_qr(theta0, base_rank)
     b = slice_cols(q, client_rank)
     a = slice_rows(r, client_rank)
-    frozen = q @ r
-    np.subtract(theta0, frozen, out=frozen)
+    frozen = low_rank_update(theta0, q, r, -1.0)
     frozen.flags.writeable = False
     if scaling is None:
         scaling = DEFAULT_LORA_ALPHA / client_rank
@@ -99,15 +100,10 @@ def qr_orthogonal_init(
 def effective_weight(base: BaseWeight, adapter: LoraAdapter) -> np.ndarray:
     """New array ``base.frozen + scaling * B @ A``.
 
-    The product is scaled and shifted in place, as in ``apply_global``, so
-    only one d x k array is written; + and * commute in IEEE arithmetic, so
-    the bits are those of the expression.
+    Formed by ``linalg.low_rank_update``, with the bits of the expression.
     """
     if adapter.shape != base.frozen.shape:
         raise ShapeError(
             f"adapter produces {adapter.shape}, base is {base.frozen.shape}"
         )
-    weight = adapter.b_factor @ adapter.a_factor
-    weight *= adapter.scaling
-    weight += base.frozen
-    return weight
+    return low_rank_update(base.frozen, adapter.b_factor, adapter.a_factor, adapter.scaling)

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import LoraAdapter
-from .linalg import RankError, ShapeError, frobenius_norm, leading_qr, slice_cols, slice_rows
+from .linalg import (
+    RankError,
+    ShapeError,
+    frobenius_norm,
+    leading_qr,
+    low_rank_update,
+    product_into,
+    slice_cols,
+    slice_rows,
+)
 
 # still importable from here: benchmarks/workloads.py traces it under this name
 from .linalg import thin_qr  # noqa: F401
@@ -78,10 +87,11 @@ def concat_reconstruct(updates: list[ClientUpdate]) -> np.ndarray:
     Stacking B factors side by side and weight-scaled A factors on top of each
     other (``baseline_full_stack``) makes the single block product equal
     sum_k p_k * s_k * B_k A_k, so heterogeneous ranks fuse without averaging
-    bias.
+    bias. A large product is computed in two row blocks on two threads
+    (``linalg.product_into``), with the same bits.
     """
     b_stack, a_stack = baseline_full_stack(updates)
-    return b_stack @ a_stack
+    return product_into(np.empty((b_stack.shape[0], a_stack.shape[1])), b_stack, a_stack)
 
 
 def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
@@ -100,14 +110,20 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
     with hypot(||R||_F, truncation error), which equals ||delta||_F in exact
     arithmetic because Q is orthonormal, and which needs no further pass over
     delta. Finite input whose residual or norms overflow gives a nonfinite
-    truncation error, without a numpy warning.
+    truncation error, without a numpy warning. A large residual is formed in
+    two row blocks on two threads (``linalg.product_into``); its sum and every
+    norm stay whole on the calling thread, so the bits are unchanged.
     """
     q, r = leading_qr(delta, server_rank)
     trailing = delta[:, server_rank:]
     with np.errstate(over="ignore", invalid="ignore"):
-        tail = q @ r[:, server_rank:]
-        np.subtract(trailing, tail, out=tail)
-        np.square(tail, out=tail)
+        tail = np.empty(trailing.shape)
+
+        def squared_residual(index):
+            np.subtract(trailing[index], tail[index], out=tail[index])
+            np.square(tail[index], out=tail[index])
+
+        product_into(tail, q, r[:, server_rank:], squared_residual)
         truncation_error = float(np.sqrt(np.sum(tail)))
         head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
         residual = float(np.hypot(head_residual, truncation_error))
@@ -139,17 +155,12 @@ def apply_global(
 ) -> np.ndarray:
     """New array ``theta0 + global_scale * B_s A_s`` for the server adapter's factors.
 
-    The product is scaled and shifted in place, so only one d x k array is
-    written; + and * commute in IEEE arithmetic, so the bits are those of the
-    expression.
+    Formed by ``linalg.low_rank_update``, with the bits of the expression.
     """
     adapter = result.server_adapter
     if adapter.shape != theta0.shape:
         raise ShapeError(f"update {adapter.shape} does not match weight {theta0.shape}")
-    model = adapter.b_factor @ adapter.a_factor
-    model *= global_scale
-    model += theta0
-    return model
+    return low_rank_update(theta0, adapter.b_factor, adapter.a_factor, global_scale)
 
 
 def factor_means(

@@ -29,16 +29,17 @@ Conventions that keep the whole loop coherent:
   pairs of independent steps side by side on one helper thread: the sampled
   clients' training (helper) with the round-start ``grad_heterogeneity``
   diagnostic, then the held-out forward (helper) with ``drift`` and the
-  training-set metrics. Every call keeps its operands and its order, so the
-  records are those of the serial round; the round stays synchronous, and no
-  thread outlives it.
+  training-set metrics. Round 1 also forms the held-out frozen logits on the
+  helper while the calling thread forms the training ones. Every call keeps
+  its operands and its order, so the records are those of the serial round;
+  the round stays synchronous, and no thread outlives it. The helper comes
+  from ``linalg.alongside``, the package's one way to start a thread.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 from typing import NamedTuple
@@ -55,7 +56,7 @@ from .aggregation import (
     qr_compress,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition, permute_rows
-from .linalg import NonFiniteError, slice_cols, slice_rows
+from .linalg import NonFiniteError, alongside, low_rank_update, slice_cols, slice_rows
 from .model import (
     factored_logits,
     factored_loss_and_grads,
@@ -650,7 +651,7 @@ def run_round(
             for c in sampled
         ]
     with _quiet_overflow():
-        updates, grad_het = _alongside(
+        updates, grad_het = alongside(
             lambda: [_train_client(client, server, config, t) for client in sampled],
             lambda: _gradient_heterogeneity(server, sampled, broadcast),
             threaded,
@@ -700,7 +701,7 @@ def run_round(
         return drift, train_loss, train_acc
 
     with _quiet_overflow():
-        heldout_acc, (drift, train_loss, train_acc) = _alongside(
+        heldout_acc, (drift, train_loss, train_acc) = alongside(
             heldout_accuracy, checked_train_metrics, threaded
         )
 
@@ -717,39 +718,6 @@ def run_round(
         bytes_up=bytes_up,
     )
     return server, metrics
-
-
-def _alongside(background, foreground, threaded: bool):
-    """``(background(), foreground())``, side by side on two threads when ``threaded``.
-
-    Threaded, ``background`` runs on one helper thread while the calling
-    thread runs ``foreground``. The helper enters ``_quiet_overflow`` itself,
-    because numpy's error state is not inherited by a new thread. It is
-    joined before this returns or raises, and its exception is raised first.
-    Otherwise ``foreground`` runs, then ``background``.
-    """
-    if not threaded:
-        fore = foreground()
-        return background(), fore
-    outcome = []
-
-    def helper():
-        try:
-            with _quiet_overflow():
-                outcome.append((background(), None))
-        except BaseException as exc:  # re-raised on the calling thread
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        fore = foreground()
-    finally:
-        thread.join()
-        back, error = outcome[0]
-        if error is not None:
-            raise error
-    return back, fore
 
 
 def _gradient_heterogeneity(
@@ -819,13 +787,10 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
             server.broadcast_factors = (b_stack, a_stack)
     if traits.controls:
         _fold_control_deltas(server, config, updates)
-    # in place; + and * commute in IEEE arithmetic, so the bits are those of
-    # base_frozen + global_scale * (B_g @ A_g)
     b_global, a_global = server.broadcast_factors
-    model = b_global @ a_global
-    model *= config.global_scale
-    model += server.base_frozen
-    server.global_model = model
+    server.global_model = low_rank_update(
+        server.base_frozen, b_global, a_global, config.global_scale
+    )
     return truncation_error
 
 
@@ -845,20 +810,29 @@ def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
     The frozen base never changes during a federation, so this product is
     formed once, on first use in round 1 (which evaluates the global model
     anyway), rather than in ``init_federation``. Clients read row views of
-    the training block.
+    the training block. Both blocks are allocated first, training then
+    held-out; from ``_OVERLAP_MIN_WEIGHT_SIZE`` the held-out product runs on
+    a helper thread while the calling thread forms the training one.
     """
     if server.frozen_logits is None:
         if server.pooled_train is None:
             raise ValueError(
                 "server state has no pooled training set; build it with init_federation"
             )
-        blocks = []
-        for split in (server.pooled_train, server.heldout):
-            block = None
-            if split is not None:
-                block = split[0] @ server.base_frozen
-                block.flags.writeable = False
-            blocks.append(block)
+        base = server.base_frozen
+        splits = (server.pooled_train, server.heldout)
+        blocks = [
+            None if split is None else np.empty((split[0].shape[0], base.shape[1]))
+            for split in splits
+        ]
+
+        def fill(i):
+            if blocks[i] is not None:
+                np.matmul(splits[i][0], base, out=blocks[i])
+                blocks[i].flags.writeable = False
+
+        threaded = blocks[1] is not None and server.theta0.size >= _OVERLAP_MIN_WEIGHT_SIZE
+        alongside(lambda: fill(1), lambda: fill(0), threaded)
         server.frozen_logits = tuple(blocks)
     return server.frozen_logits
 

@@ -7,7 +7,14 @@ from fedqr.adapter import (
     effective_weight,
     qr_orthogonal_init,
 )
-from fedqr.linalg import RankError, ShapeError, frobenius_norm, subspace_residual, thin_qr
+from fedqr.linalg import (
+    RankError,
+    ShapeError,
+    frobenius_norm,
+    leading_qr,
+    subspace_residual,
+    thin_qr,
+)
 from fedqr.oracle import factor_gradients
 
 
@@ -53,6 +60,21 @@ class TestInit:
     def test_default_scaling_is_alpha_over_rank(self):
         _, _, adapter = random_setup(14, client_rank=4, scaling=None)
         assert adapter.scaling == pytest.approx(16.0 / 4.0)
+
+    @pytest.mark.parametrize(
+        "theta0, base_rank",
+        [
+            (np.random.default_rng(15).standard_normal((10, 7)), 5),
+            (-np.eye(6), 3),  # signed zeros on both sides of the difference
+            # lora_agg's layer: Q R is cut across two threads
+            (np.random.default_rng(16).standard_normal((1024, 1024)) / 32, 32),
+        ],
+    )
+    def test_frozen_base_has_the_bits_of_the_difference(self, theta0, base_rank):
+        base, _ = qr_orthogonal_init(theta0, 1, base_rank)
+        q, r = leading_qr(theta0, base_rank)
+        assert base.frozen.tobytes() == (theta0 - q @ r).tobytes()
+        assert not base.frozen.flags.writeable
 
     def test_rank_bounds(self):
         theta0 = np.zeros((4, 4))

@@ -1,9 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from fedqr import aggregation
+from fedqr import aggregation, linalg
 from fedqr.adapter import LoraAdapter
 from fedqr.aggregation import (
     ClientUpdate,
@@ -219,6 +220,42 @@ class TestApplyGlobal:
         result = qr_compress(np.zeros((4, 3)), 2)
         with pytest.raises(ShapeError):
             apply_global(np.zeros((5, 5)), result, 1.0)
+
+
+class TestSplitServerStep:
+    def test_lora_agg_step_keeps_the_bits_of_whole_products(self, monkeypatch, started_threads):
+        # the benchmark's server step at 1024 x 1024, 8 clients of rank 16/8,
+        # server rank 32: every d x k product is cut across two threads
+        updates = make_updates(
+            66, (16, 8) * 4, d=1024, k=1024, counts=[50, 120, 300, 75, 410, 90, 220, 160],
+            scalings=[1.0, 2.0] * 4,
+        )
+        theta0 = np.random.default_rng(67).standard_normal((1024, 1024))
+
+        def step():
+            delta = concat_reconstruct(updates)
+            result = qr_compress(delta, 32)
+            model = apply_global(theta0, result, 0.5)
+            return [delta.tobytes(), result.q.tobytes(), result.r.tobytes(),
+                    result.truncation_error, model.tobytes()]
+
+        constant = linalg.SPLIT_MIN_WORK
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 2**62)
+        whole = step()
+        assert started_threads == []
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", constant)
+        assert step() == whole
+        # the stack product, the projection, the residual and the global model
+        assert len(started_threads) == 4
+        # the two threads write disjoint blocks of one buffer: switching
+        # between them every microsecond must not move a bit either
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert step() == whole
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started_threads) == 8
 
 
 def factor_average(updates, rank=None):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedqr import adapter, federation, model, oracle
+from fedqr import adapter, federation, linalg, model, oracle
 from fedqr.config import PRESETS, preset_spec
 from fedqr.data import dirichlet_partition, generate_blobs
 from fedqr.federation import (
@@ -679,23 +679,81 @@ class TestOverlappedRound:
 
         threads = threading.active_count()
         with pytest.raises(KeyError):
-            federation._alongside(background, foreground, threaded=True)
+            linalg.alongside(background, foreground, threaded=True)
         assert threading.active_count() == threads
         with pytest.raises(ValueError):
-            federation._alongside(background, foreground, threaded=False)
+            linalg.alongside(background, foreground, threaded=False)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_no_preset_starts_a_thread(self, monkeypatch, preset):
-        spec = preset_spec(preset)
-        train, heldout = spec.build_datasets()
-        server, clients = init_federation(spec.federation, train, eval_dataset=heldout)
-
+        # linalg starts every thread of the package: the round's helper and
+        # the split products' alike
         def no_thread(*args, **kwargs):
             raise AssertionError(f"{preset} started a thread")
 
-        monkeypatch.setattr(federation.threading, "Thread", no_thread)
+        monkeypatch.setattr(linalg.threading, "Thread", no_thread)
+        spec = preset_spec(preset)
+        train, heldout = spec.build_datasets()
+        server, clients = init_federation(spec.federation, train, eval_dataset=heldout)
         for _ in range(2):
             server, _ = run_round(server, clients, spec.federation)
+
+    def test_wide_layer_round_starts_only_the_round_helpers(self, started_threads):
+        # wide_hetero's shape: 1024 x 128, 16 clients of rank 4/8/16 at half
+        # participation. Round 1 forms the held-out frozen logits on a helper,
+        # and every round runs its two pairs; no product is large enough to cut
+        spec = preset_spec("paper-hetero")
+        config = dataclasses.replace(
+            spec.federation, n_clients=16, client_ranks=tuple((4, 8, 16)[i % 3] for i in range(16)),
+            server_rank=16, method="ilora_s", participation=0.5, local_epochs=1,
+            batch_size=32, hidden_dim=1024, rounds=2,
+        )
+        data = dataclasses.replace(
+            spec.data, classes=128, samples_per_class=16, input_dim=128,
+            eval_samples_per_class=20,
+        )
+        train, heldout = dataclasses.replace(spec, federation=config, data=data).build_datasets()
+        server, clients = init_federation(config, train, eval_dataset=heldout)
+        assert started_threads == []
+        threads = threading.active_count()
+        per_round = []
+        for _ in range(config.rounds):
+            before = len(started_threads)
+            server, _ = run_round(server, clients, config)
+            per_round.append(len(started_threads) - before)
+        assert per_round == [3, 2]
+        assert threading.active_count() == threads
+
+
+class TestSplitProducts:
+    """Cutting the server's products across two threads changes no record."""
+
+    @pytest.mark.parametrize("hidden_dim", [None, 192])
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_records_match_the_whole_products(
+        self, monkeypatch, started_threads, method, participation, hidden_dim
+    ):
+        # d = 128 or 192 rows: once forced, every base + g B A (the frozen
+        # base, the global model and each client's weight in drift) is cut at
+        # 64 or 128 rows. d * k is far below the round helper's threshold,
+        # so every thread started is a split product's
+        config = small_config(
+            method=method, client_ranks=method_ranks(method), participation=participation,
+            hidden_dim=hidden_dim, rounds=3,
+        )
+        ds = small_dataset(config, d_in=128)
+        heldout = generate_blobs(8, 10, 128, 0.3, 999)
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 2**62)
+        whole = [json.dumps(m.to_dict()) for m in run_federation(config, ds, heldout)]
+
+        assert started_threads == []
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 0)
+        threads = threading.active_count()
+        split = [json.dumps(m.to_dict()) for m in run_federation(config, ds, heldout)]
+        assert threading.active_count() == threads
+        assert started_threads
+        assert split == whole
 
 
 class TestRunFederation:

@@ -1,19 +1,26 @@
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedqr import linalg
 from fedqr.adapter import qr_orthogonal_init
 from fedqr.aggregation import qr_compress
 from fedqr.linalg import (
+    SPLIT_MIN_WORK,
     BasisError,
     NonFiniteError,
     RankError,
     ShapeError,
+    alongside,
     frobenius_norm,
     leading_qr,
+    low_rank_update,
+    product_into,
     slice_cols,
     slice_rows,
     subspace_residual,
@@ -297,3 +304,123 @@ class TestSubspaceResidual:
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             subspace_residual(np.eye(3), np.zeros((2, 1)))
+
+
+def _operand(rng, shape, fortran):
+    m = rng.standard_normal(shape)
+    return np.asfortranarray(m) if fortran else m
+
+
+class TestSplitProducts:
+    """product_into cuts a product across two threads and keeps every bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cut_rows=st.booleans(),
+        short=st.integers(16, 127),
+        rows=st.integers(128, 1024),
+        columns=st.integers(16, 256),
+        extra=st.integers(0, 64),
+        fortran=st.tuples(st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**31),
+    )
+    def test_split_product_keeps_the_bits(
+        self, cut_rows, short, rows, columns, extra, fortran, seed
+    ):
+        # the rule: m * k * n above the constant, n % 8 == 0, and a row cut
+        # from 128 rows, else a column cut from 128 columns; m * n >= 2**14
+        # keeps k, and so the operands, small
+        m, n = (rows, 8 * columns) if cut_rows else (short, 8 * (128 + columns))
+        k = SPLIT_MIN_WORK // (m * n) + 1 + extra
+        rng = np.random.default_rng(seed)
+        a = _operand(rng, (m, k), fortran[0])
+        b = _operand(rng, (k, n), fortran[1])
+        halves = linalg._halves(m, k, n)
+        assert halves is not None
+        cut = halves[0][0] if cut_rows else halves[0][1]
+        assert cut.stop % 64 == 0
+        threads = threading.active_count()
+        got = product_into(np.empty((m, n)), a, b)
+        assert threading.active_count() == threads
+        assert got.tobytes() == np.matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1024, 96, 1023),  # n % 8 != 0
+            (256, 256, 256),  # m * k * n == SPLIT_MIN_WORK, not above it
+            (120, 2048, 120),  # fewer than 128 rows and columns
+        ],
+    )
+    def test_shapes_outside_the_rule_are_computed_whole(self, started_threads, shape):
+        m, k, n = shape
+        assert linalg._halves(m, k, n) is None
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        got = product_into(np.empty((m, n)), a, b)
+        assert started_threads == []
+        assert got.tobytes() == (a @ b).tobytes()
+
+    def test_follow_up_runs_on_each_block(self, started_threads):
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((1024, 1024))
+        b, a = rng.standard_normal((1024, 32)), rng.standard_normal((32, 1024))
+        got = low_rank_update(base, b, a, 0.5)
+        assert len(started_threads) == 1
+        assert got.tobytes() == (base + 0.5 * (b @ a)).tobytes()
+
+    def test_helper_carries_the_callers_error_state(self):
+        def overflow():
+            return np.float64(1e308) * 10.0
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                alongside(overflow, lambda: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert alongside(overflow, lambda: None) == (np.inf, None)
+
+    @pytest.mark.filterwarnings("error")
+    def test_forced_split_of_overflowing_input_matches_the_whole_product(
+        self, monkeypatch, started_threads
+    ):
+        # 256 x 160 at rank 16: leading_qr's projection (16 x 144) is cut by
+        # columns, qr_compress's residual (256 x 144) by rows, and the squares
+        # overflow in both blocks. At 256 x 145 and rank 1, the projection
+        # overflows in one column
+        m = 1e200 * np.random.default_rng(14).standard_normal((256, 160))
+        projected = np.random.default_rng(15).standard_normal((256, 145))
+        q, _ = thin_qr(projected[:, :1])
+        projected[:, 100] = 1e308 * np.sign(q[:, 0])
+
+        def outputs(kernel_input, rank):
+            q, r = leading_qr(kernel_input, rank)
+            result = qr_compress(kernel_input, rank)
+            return q.tobytes(), r.tobytes(), result.r.tobytes(), result.truncation_error
+
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 2**62)
+        whole = [outputs(m, 16), outputs(projected, 1)]
+        assert started_threads == []
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 0)
+        threads = threading.active_count()
+        split = [outputs(m, 16), outputs(projected, 1)]
+        assert threading.active_count() == threads
+        assert len(started_threads) == 6  # three products per input, each cut
+        assert split == whole
+        assert whole[0][3] == np.inf and not np.isfinite(whole[1][3])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column", [0, 100])
+    def test_forced_split_still_rejects_nan(self, monkeypatch, started_threads, column):
+        # a NaN in the head raises in thin_qr; one in the tail, after the
+        # projection has been cut
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 0)
+        m = np.random.default_rng(16).standard_normal((256, 160))
+        m[200, column] = np.nan
+        threads = threading.active_count()
+        for kernel in (leading_qr, qr_compress):
+            with pytest.raises(NonFiniteError, match="NaN or Inf"):
+                kernel(m, 16)
+        assert threading.active_count() == threads
+        assert len(started_threads) == (0 if column < 16 else 2)
