@@ -87,10 +87,17 @@ def concat_reconstruct(updates: list[ClientUpdate]) -> np.ndarray:
     Stacking B factors side by side and weight-scaled A factors on top of each
     other (``baseline_full_stack``) makes the single block product equal
     sum_k p_k * s_k * B_k A_k, so heterogeneous ranks fuse without averaging
-    bias. A large product is computed in two row blocks on two threads
+    bias. The product is ``stack_product``'s.
+    """
+    return stack_product(*baseline_full_stack(updates))
+
+
+def stack_product(b_stack: np.ndarray, a_stack: np.ndarray) -> np.ndarray:
+    """New array ``b_stack @ a_stack``, the exact update of a stacked factor pair.
+
+    A large product is computed in two row blocks on two threads
     (``linalg.product_into``), with the same bits.
     """
-    b_stack, a_stack = baseline_full_stack(updates)
     return product_into(np.empty((b_stack.shape[0], a_stack.shape[1])), b_stack, a_stack)
 
 

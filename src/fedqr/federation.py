@@ -54,6 +54,7 @@ from .aggregation import (
     factor_means,
     personalize,
     qr_compress,
+    stack_product,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition, permute_rows
 from .linalg import NonFiniteError, alongside, low_rank_update, slice_cols, slice_rows
@@ -778,7 +779,7 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
         # full_stack clients re-derive their slices from the shipped stack;
         # this server-side QR is numerically identical to that computation
         b_stack, a_stack = baseline_full_stack(updates)
-        result = qr_compress(b_stack @ a_stack, config.server_rank)
+        result = qr_compress(stack_product(b_stack, a_stack), config.server_rank)
         server.last_result = result
         if traits.fusion == "qr":
             server.broadcast_factors = (result.q, result.r)

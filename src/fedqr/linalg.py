@@ -20,7 +20,8 @@ ORTHO_TOL = 1e-8
 # m * k * n above which product_into splits an (m x k) @ (k x n) product
 # across two threads. No preset, the drift oracle or wide_hetero's fusion
 # (at most 1024 x 104 x 128) passes it; lora_agg's d x k products
-# (1024 x 32..96 x 1024) pass it 2-6 times over. Small products must stay
+# (1024 x 32..96 x 1024) pass it 2-6 times over, and wide_hetero's hidden
+# maps (2048 and 2560 x 128 x 1024) 16-20 times. Small products must stay
 # whole: cut by _halves' rule, 4 of 866 random shapes with m * k * n below
 # 350000 changed bits, against 0 of 300 above this constant
 SPLIT_MIN_WORK = 2**24

@@ -16,17 +16,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import product_into
+
 
 class EmptyBatchError(ValueError):
     """A loss or accuracy was requested on a batch with no samples."""
 
 
 def model_features(inputs: np.ndarray, hidden_weight: np.ndarray | None) -> np.ndarray:
-    """Map raw inputs to the features seen by the adapted head weight."""
+    """Map raw inputs to the features seen by the adapted head weight.
+
+    With a hidden layer, ``tanh(inputs @ hidden_weight)`` is written into one
+    new array. A large map is cut into two row blocks on two threads
+    (``linalg.product_into``), and each thread squashes its own block in
+    place; every entry keeps the bits of the whole map.
+    """
     if hidden_weight is None:
         return inputs
-    features = inputs @ hidden_weight
-    return np.tanh(features, out=features)
+    features = np.empty((inputs.shape[0], hidden_weight.shape[1]))
+
+    def squash(index):
+        np.tanh(features[index], out=features[index])
+
+    return product_into(features, inputs, hidden_weight, squash)
 
 
 def _log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:

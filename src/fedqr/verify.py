@@ -20,6 +20,7 @@ import numpy as np
 from .adapter import BaseWeight, LoraAdapter, effective_weight
 from .aggregation import (
     ClientUpdate,
+    baseline_full_stack,
     concat_reconstruct,
     factor_means,
     personalize,
@@ -37,8 +38,8 @@ from .federation import (
     run_federation,
     run_round,
 )
-from .linalg import frobenius_norm, subspace_residual, thin_qr
-from .model import factored_loss_and_grads
+from .linalg import _halves, frobenius_norm, low_rank_update, subspace_residual, thin_qr
+from .model import factored_loss_and_grads, model_features
 from .oracle import factor_gradients, head_loss_and_grads
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
@@ -158,6 +159,73 @@ def check_truncation_identity() -> CheckResult:
         f"worst identity gap {worst:.3e} (tol 1e-9), "
         f"worst lossless error {lossless_worst:.3e} (tol 1e-10), "
         f"worst Q/R slice gap to dense QR {slice_worst:.3e} (tol 1e-10)",
+    )
+
+
+def check_split_products() -> CheckResult:
+    """The products ``linalg.product_into`` cuts keep the bits of the whole product.
+
+    At d = k = 512 with 8 clients of rank 8/16 and server rank 80, every
+    product below is one that ``linalg._halves`` cuts, which the check
+    asserts so that it cannot stop reaching the split: the stack product,
+    ``qr_compress``'s projection and trailing residual, base + g * B * A and
+    a hidden map of 512 samples x 128 inputs x 512 units.
+    """
+    rng = np.random.default_rng(44)
+    d = k = 512
+    server_rank = 80
+    updates = [
+        ClientUpdate(
+            cid,
+            LoraAdapter(rng.standard_normal((d, r)), rng.standard_normal((r, k)), r, 1.0),
+            int(rng.integers(1, 50)),
+        )
+        for cid, r in enumerate((8, 16) * 4)
+    ]
+    b_stack, a_stack = baseline_full_stack(updates)
+    inputs = rng.standard_normal((512, 128))
+    hidden = rng.standard_normal((128, 512)) / np.sqrt(128)
+    base = rng.standard_normal((d, k))
+    tail = k - server_rank
+    shapes = [
+        (d, b_stack.shape[1], k),
+        (server_rank, d, tail),
+        (d, server_rank, tail),
+        (d, server_rank, k),
+        (inputs.shape[0], inputs.shape[1], hidden.shape[1]),
+    ]
+    uncut = [shape for shape in shapes if _halves(*shape) is None]
+
+    reconstructed = concat_reconstruct(updates)
+    stack_same = reconstructed.tobytes() == (b_stack @ a_stack).tobytes()
+    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
+    expected = sum(
+        w * (u.adapter.b_factor @ u.adapter.a_factor)
+        for u, w in zip(updates, counts / counts.sum())
+    )
+    sum_err = frobenius_norm(reconstructed - expected) / (1.0 + frobenius_norm(expected))
+    result = qr_compress(reconstructed, server_rank)
+    _, dense_r = thin_qr(reconstructed)
+    tail_gap = abs(frobenius_norm(dense_r[server_rank:, :]) - result.truncation_error)
+    update_same = (
+        low_rank_update(base, result.q, result.r, 0.7).tobytes()
+        == (base + 0.7 * (result.q @ result.r)).tobytes()
+    )
+    features_same = (
+        model_features(inputs, hidden).tobytes() == np.tanh(inputs @ hidden).tobytes()
+    )
+    passed = (
+        not uncut and stack_same and sum_err <= 1e-12 and tail_gap <= 1e-9
+        and update_same and features_same
+    )
+    same = {True: "bit-identical", False: "DIFFERS"}
+    return CheckResult(
+        "split_products",
+        passed,
+        f"{len(shapes) - len(uncut)} of {len(shapes)} products cut; stack product "
+        f"{same[stack_same]}, error to the weighted sum {sum_err:.3e} (tol 1e-12); "
+        f"truncation gap to dense QR {tail_gap:.3e} (tol 1e-9); base + g*B*A "
+        f"{same[update_same]}; tanh map {same[features_same]}",
     )
 
 
@@ -576,7 +644,7 @@ def check_communication_accounting() -> CheckResult:
 
 
 SUITES: dict[str, list] = {
-    "exactness": [check_exact_reconstruction, check_truncation_identity],
+    "exactness": [check_exact_reconstruction, check_truncation_identity, check_split_products],
     "bias": [check_bias_witness],
     "subspace": [check_subspace_preservation],
     "gradients": [check_gradient_correctness],

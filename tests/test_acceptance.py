@@ -56,11 +56,16 @@ def test_10_communication_accounting():
     _run(verify.check_communication_accounting)
 
 
+def test_11_split_products():
+    _run(verify.check_split_products)
+
+
 def test_verify_suites_cover_all_checks():
     names = {check.__name__ for check in verify.SUITES["all"]}
     assert names == {
         "check_exact_reconstruction",
         "check_truncation_identity",
+        "check_split_products",
         "check_bias_witness",
         "check_subspace_preservation",
         "check_gradient_correctness",

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedqr.adapter import BaseWeight, LoraAdapter, effective_weight
-from fedqr.linalg import ShapeError, frobenius_norm
+from fedqr.linalg import SPLIT_MIN_WORK, ShapeError, frobenius_norm
 from fedqr.model import (
     EmptyBatchError,
     factored_logits,
@@ -244,3 +244,48 @@ class TestFrozenStability:
     def test_head_accuracy_empty(self):
         with pytest.raises(EmptyBatchError):
             head_accuracy(np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+def _placed(rng, shape, fortran, offset):
+    """Standard normal operand, C- or F-ordered, starting ``offset`` floats into its allocation."""
+    rows, cols = shape
+    buffer = np.empty(rows * cols + offset)
+    view = buffer[offset:].reshape((cols, rows)).T if fortran else buffer[offset:].reshape(shape)
+    view[...] = rng.standard_normal(shape)
+    return view
+
+
+class TestModelFeatures:
+    """A large hidden map is cut across two threads and keeps every bit."""
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cut_rows=st.booleans(),
+        short=st.integers(16, 127),
+        rows=st.integers(128, 1024),
+        columns=st.integers(16, 128),
+        ragged=st.integers(0, 7),
+        extra=st.integers(0, 64),
+        fortran=st.tuples(st.booleans(), st.booleans()),
+        offset=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_map_keeps_the_bits_of_the_whole_map(
+        self, started_threads, cut_rows, short, rows, columns, ragged, extra, fortran,
+        offset, seed,
+    ):
+        # samples x inputs x hidden units above the split constant. With a
+        # multiple of 8 units the map is cut, by rows from 128 samples and
+        # by columns below; any other unit count keeps it whole
+        m, n = (rows, 8 * columns + ragged) if cut_rows else (short, 8 * (128 + columns) + ragged)
+        k = SPLIT_MIN_WORK // (m * n) + 1 + extra
+        rng = np.random.default_rng(seed)
+        inputs = _placed(rng, (m, k), fortran[0], int(offset))
+        hidden = _placed(rng, (k, n), fortran[1], 0) / np.sqrt(k)
+        before = len(started_threads)
+        got = model_features(inputs, hidden)
+        assert len(started_threads) - before == (0 if ragged else 1)
+        assert got.tobytes() == np.tanh(inputs @ hidden).tobytes()

@@ -5,16 +5,23 @@ like: after odd-sized arrays were allocated and freed, with inputs whose
 data starts 8 bytes off their allocation, and with client training and the
 held-out forward on run_round's helper thread, whose arrays come from another
 malloc arena. A kernel whose rounding followed the alignment of its operands
-would show up here as a differing record.
+would show up here as a differing record. Set-up's hidden maps, cut across
+two threads at the benchmark's wide layer, are compared across BLAS thread
+counts in fresh processes.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from fedqr import federation
-from fedqr.config import preset_spec
+import fedqr
+from fedqr import config, federation
+from fedqr.config import preset_spec, serialize_spec
 from fedqr.data import Dataset
 from fedqr.federation import run_federation
 
@@ -24,6 +31,23 @@ def small_hetero_spec():
     spec = preset_spec("paper-hetero")
     spec.federation = replace(
         spec.federation, method="ilora_s", participation=0.5, hidden_dim=96, rounds=8, lr=0.01
+    )
+    return spec
+
+
+def wide_hetero_spec():
+    # the benchmark's wide_hetero on input set 1: 128 inputs through a frozen
+    # 1024-unit tanh layer to 128 classes, 2048 training and 2560 held-out
+    # samples
+    spec = preset_spec("paper-hetero")
+    spec.federation = replace(
+        spec.federation, n_clients=16, client_ranks=tuple((4, 8, 16)[i % 3] for i in range(16)),
+        server_rank=16, method="ilora_s", participation=0.5, local_epochs=1, batch_size=32,
+        lr=0.02, dirichlet_alpha=0.5, hidden_dim=1024, rounds=10,
+        data_seed=1, partition_seed=101, train_seed=201,
+    )
+    spec.data = replace(
+        spec.data, classes=128, samples_per_class=16, input_dim=128, eval_samples_per_class=20
     )
     return spec
 
@@ -70,3 +94,51 @@ def test_records_survive_heap_perturbation_and_shifted_inputs(monkeypatch):
 
     assert_same_records(second, first, "perturbed heap")
     assert_same_records(threaded, first, "perturbed heap, helper thread")
+
+
+def dataset_bytes(datasets) -> list[bytes]:
+    return [b for ds in datasets for b in (ds.features.tobytes(), ds.labels.tobytes())]
+
+
+def test_datasets_are_the_same_bytes_with_and_without_the_helper(monkeypatch, started_threads):
+    spec = wide_hetero_spec()
+    threaded = dataset_bytes(spec.build_datasets())
+    assert len(started_threads) == 1
+    monkeypatch.setattr(config, "_OVERLAP_MIN_WEIGHT_SIZE", 2**62)
+    serial = dataset_bytes(spec.build_datasets())
+    assert len(started_threads) == 1
+    assert threaded == serial
+
+
+# maps a spec's set-up in a fresh process and prints a digest of the pooled
+# training and held-out features
+SET_UP_FEATURES = """
+import hashlib, sys
+from fedqr.config import parse_config
+from fedqr.federation import init_federation
+
+spec = parse_config(sys.stdin.read())
+train, heldout = spec.build_datasets()
+server, _ = init_federation(spec.federation, train, eval_dataset=heldout)
+digest = hashlib.sha256()
+for features in (server.pooled_train[0], server.heldout[0]):
+    digest.update(features.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_set_up_features_do_not_depend_on_the_blas_thread_count():
+    # both hidden maps are cut across two threads at this size; each thread's
+    # gemm may itself run on 1 or 2 BLAS threads
+    src = str(pathlib.Path(fedqr.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", SET_UP_FEATURES], input=serialize_spec(wide_hetero_spec()),
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.append(child.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
