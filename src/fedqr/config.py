@@ -17,15 +17,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from .data import Dataset, generate_blobs
-from .federation import (
-    _OVERLAP_MIN_WEIGHT_SIZE,
-    ConfigError,
-    FederationConfig,
-    RoundMetrics,
-    check_ranges,
-    ranged,
-)
-from .linalg import alongside
+from .federation import ConfigError, FederationConfig, RoundMetrics, check_ranges, ranged
 
 ENV_PREFIX = "FEDQR_"
 
@@ -72,27 +64,19 @@ class ExperimentSpec:
     preset: str = "default"
 
     def build_datasets(self) -> tuple[Dataset, Dataset]:
-        """The training and held-out splits, each drawn from its own seed.
-
-        From an adapted layer of ``federation._OVERLAP_MIN_WEIGHT_SIZE``
-        (d * k, with d the hidden width, or the input width without a hidden
-        layer, and k the classes), the held-out split is drawn on the helper
-        of ``linalg.alongside`` while the calling thread draws the training
-        split. Each split has its own generator, so the datasets are the same
-        bytes either way.
-        """
-        data = self.data
-
-        def split(samples_per_class, seed):
-            return generate_blobs(
-                data.classes, samples_per_class, data.input_dim, data.spread, seed
-            )
-
-        width = self.federation.hidden_dim or data.input_dim
-        heldout, train = alongside(
-            lambda: split(data.eval_samples_per_class, data.eval_seed),
-            lambda: split(data.samples_per_class, self.federation.data_seed),
-            width * data.classes >= _OVERLAP_MIN_WEIGHT_SIZE,
+        train = generate_blobs(
+            self.data.classes,
+            self.data.samples_per_class,
+            self.data.input_dim,
+            self.data.spread,
+            self.federation.data_seed,
+        )
+        heldout = generate_blobs(
+            self.data.classes,
+            self.data.eval_samples_per_class,
+            self.data.input_dim,
+            self.data.spread,
+            self.data.eval_seed,
         )
         return train, heldout
 

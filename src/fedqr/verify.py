@@ -167,9 +167,12 @@ def check_split_products() -> CheckResult:
 
     At d = k = 512 with 8 clients of rank 8/16 and server rank 80, every
     product below is one that ``linalg._halves`` cuts, which the check
-    asserts so that it cannot stop reaching the split: the stack product,
-    ``qr_compress``'s projection and trailing residual, base + g * B * A and
-    a hidden map of 512 samples x 128 inputs x 512 units.
+    asserts on the operands each call passes to ``product_into``, so that it
+    cannot stop reaching the split: the stack product, ``qr_compress``'s
+    projection and trailing residual, base + g * B * A and a hidden map of
+    512 samples x 128 inputs x 512 units. That each call still goes through
+    ``product_into`` is pinned by a test counting one helper thread per
+    product.
     """
     rng = np.random.default_rng(44)
     d = k = 512
@@ -186,15 +189,6 @@ def check_split_products() -> CheckResult:
     inputs = rng.standard_normal((512, 128))
     hidden = rng.standard_normal((128, 512)) / np.sqrt(128)
     base = rng.standard_normal((d, k))
-    tail = k - server_rank
-    shapes = [
-        (d, b_stack.shape[1], k),
-        (server_rank, d, tail),
-        (d, server_rank, tail),
-        (d, server_rank, k),
-        (inputs.shape[0], inputs.shape[1], hidden.shape[1]),
-    ]
-    uncut = [shape for shape in shapes if _halves(*shape) is None]
 
     reconstructed = concat_reconstruct(updates)
     stack_same = reconstructed.tobytes() == (b_stack @ a_stack).tobytes()
@@ -214,6 +208,14 @@ def check_split_products() -> CheckResult:
     features_same = (
         model_features(inputs, hidden).tobytes() == np.tanh(inputs @ hidden).tobytes()
     )
+    operands = [
+        (b_stack, a_stack),
+        (result.q.T, reconstructed[:, server_rank:]),
+        (result.q, result.r[:, server_rank:]),
+        (result.q, result.r),
+        (inputs, hidden),
+    ]
+    uncut = [(a, b) for a, b in operands if _halves(*a.shape, b.shape[1]) is None]
     passed = (
         not uncut and stack_same and sum_err <= 1e-12 and tail_gap <= 1e-9
         and update_same and features_same
@@ -222,7 +224,7 @@ def check_split_products() -> CheckResult:
     return CheckResult(
         "split_products",
         passed,
-        f"{len(shapes) - len(uncut)} of {len(shapes)} products cut; stack product "
+        f"{len(operands) - len(uncut)} of {len(operands)} products cut; stack product "
         f"{same[stack_same]}, error to the weighted sum {sum_err:.3e} (tol 1e-12); "
         f"truncation gap to dense QR {tail_gap:.3e} (tol 1e-9); base + g*B*A "
         f"{same[update_same]}; tanh map {same[features_same]}",

@@ -56,8 +56,12 @@ def test_10_communication_accounting():
     _run(verify.check_communication_accounting)
 
 
-def test_11_split_products():
+def test_11_split_products(started_threads):
     _run(verify.check_split_products)
+    # one helper per cut product: the stack product, qr_compress's projection
+    # and residual, base + g*B*A and the hidden map. A call that stopped
+    # going through linalg.product_into would keep its bits and start none
+    assert len(started_threads) == 5
 
 
 def test_verify_suites_cover_all_checks():

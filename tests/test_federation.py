@@ -700,10 +700,9 @@ class TestOverlappedRound:
 
     def test_wide_layer_round_starts_only_the_round_helpers(self, started_threads):
         # wide_hetero's shape: 1024 x 128, 16 clients of rank 4/8/16 at half
-        # participation. Set-up draws the held-out split on a helper and cuts
-        # both hidden maps; round 1 forms the held-out frozen logits on a
-        # helper, and every round runs its two pairs; no round product is
-        # large enough to cut
+        # participation. Set-up cuts both hidden maps across a helper; round
+        # 1 forms the held-out frozen logits on a helper, and every round runs
+        # its two pairs; no round product is large enough to cut
         spec = preset_spec("paper-hetero")
         config = dataclasses.replace(
             spec.federation, n_clients=16, client_ranks=tuple((4, 8, 16)[i % 3] for i in range(16)),
@@ -716,7 +715,7 @@ class TestOverlappedRound:
         )
         train, heldout = dataclasses.replace(spec, federation=config, data=data).build_datasets()
         server, clients = init_federation(config, train, eval_dataset=heldout)
-        assert len(started_threads) == 3
+        assert len(started_threads) == 2
         threads = threading.active_count()
         per_round = []
         for _ in range(config.rounds):

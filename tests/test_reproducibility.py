@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 import fedqr
-from fedqr import config, federation
+from fedqr import federation
 from fedqr.config import preset_spec, serialize_spec
 from fedqr.data import Dataset
 from fedqr.federation import run_federation
@@ -94,20 +94,6 @@ def test_records_survive_heap_perturbation_and_shifted_inputs(monkeypatch):
 
     assert_same_records(second, first, "perturbed heap")
     assert_same_records(threaded, first, "perturbed heap, helper thread")
-
-
-def dataset_bytes(datasets) -> list[bytes]:
-    return [b for ds in datasets for b in (ds.features.tobytes(), ds.labels.tobytes())]
-
-
-def test_datasets_are_the_same_bytes_with_and_without_the_helper(monkeypatch, started_threads):
-    spec = wide_hetero_spec()
-    threaded = dataset_bytes(spec.build_datasets())
-    assert len(started_threads) == 1
-    monkeypatch.setattr(config, "_OVERLAP_MIN_WEIGHT_SIZE", 2**62)
-    serial = dataset_bytes(spec.build_datasets())
-    assert len(started_threads) == 1
-    assert threaded == serial
 
 
 # maps a spec's set-up in a fresh process and prints a digest of the pooled
