@@ -1,11 +1,14 @@
 """Round orchestration for federated low-rank fine-tuning.
 
-Protocol summary per round: sample clients, broadcast the latest global state
-(personalized factor slices, plus global controls for the control-variate
-variant), run local epochs of mini-batch AdamW, upload adapters, aggregate on
-the server, and record diagnostics. A method is one row of ``METHOD_TRAITS``:
-its fusion (``qr``, ``mean`` or ``stack``), whether it tracks controls, and
-whether it allows mixed ranks. The round code reads these traits, never names.
+Protocol summary per round, one phase function each: sample clients
+(``_sample``), broadcast the latest global state (``_broadcast``: personalized
+factor slices, plus global controls for the control-variate variant), run
+local epochs of mini-batch AdamW beside the round-start diagnostic
+(``_train_and_diagnose``), aggregate the uploads on the server
+(``_aggregate``), and evaluate (``_evaluate``). A method is one row of
+``METHOD_TRAITS``: its fusion (``qr``, ``mean`` or ``stack``), whether it
+tracks controls, and whether it allows mixed ranks. The round code reads
+these traits, never names.
 
 Conventions that keep the whole loop coherent:
 
@@ -25,15 +28,14 @@ Conventions that keep the whole loop coherent:
   their first rounds bit-identical by construction.
 * Per-client RNG streams are derived from (train_seed, client id at init) and
   travel with the client state, so results do not depend on execution order.
-* From a layer size of ``_OVERLAP_MIN_WEIGHT_SIZE`` (d * k), a round runs two
-  pairs of independent steps side by side on one helper thread: the sampled
-  clients' training (helper) with the round-start ``grad_heterogeneity``
-  diagnostic, then the held-out forward (helper) with ``drift`` and the
-  training-set metrics. Round 1 also forms the held-out frozen logits on the
-  helper while the calling thread forms the training ones. Every call keeps
-  its operands and its order, so the records are those of the serial round;
-  the round stays synchronous, and no thread outlives it. The helper comes
-  from ``linalg.alongside``, the package's one way to start a thread.
+* From a layer size of ``_OVERLAP_MIN_WEIGHT_SIZE`` (d * k), each of the two
+  pairs runs side by side on one helper thread: the sampled clients' training
+  (helper) with the round-start ``grad_heterogeneity`` diagnostic, then the
+  held-out forward (helper) with ``drift`` and the training-set metrics.
+  Every call keeps its operands and its order, so the records are those of
+  the serial round; the round stays synchronous, and no thread outlives it.
+  The helper comes from ``linalg.alongside``, the package's one way to start
+  a thread.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .aggregation import (
     stack_product,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition, permute_rows
-from .linalg import NonFiniteError, alongside, low_rank_update, slice_cols, slice_rows
+from .linalg import NonFiniteError, alongside, low_rank_update, product_into, slice_cols, slice_rows
 from .model import (
     factored_logits,
     factored_loss_and_grads,
@@ -116,9 +118,8 @@ _TAG_HIDDEN = 12
 _TAG_SAMPLING = 13
 _TAG_SHUFFLE = 14
 
-# client training and the values run_round's nonfinite check tests are
-# computed under this, so an overflow reaches the caller as one
-# RoundAbortedError, not as numpy warnings
+# client training and run_round's later phases run under this, so an overflow
+# reaches the caller as one RoundAbortedError, not as numpy warnings
 _quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 # d * k of the adapted layer from which run_round overlaps independent work on
@@ -314,8 +315,8 @@ class ServerState:
     # ClientState holds a row view of its own shard
     pooled_train: tuple[np.ndarray, np.ndarray] | None = None
     heldout: tuple[np.ndarray, np.ndarray] | None = None
-    # read-only features @ base_frozen for the pooled training set and the
-    # held-out split (None without one); filled on first use, see _frozen_logits
+    # read-only features @ base_frozen of the pooled training set and the held-out
+    # split (None without one), one split product each; see _frozen_logits
     frozen_logits: tuple[np.ndarray, np.ndarray | None] | None = None
     round_index: int = 0
 
@@ -606,27 +607,55 @@ def run_round(
     clients: list[ClientState],
     config: FederationConfig,
 ) -> tuple[ServerState, RoundMetrics]:
-    """Execute one communication round; mutates client states in place."""
+    """Execute one communication round, phase by phase; mutates client states in place."""
     t = server.round_index + 1
+    threaded = server.theta0.size >= _OVERLAP_MIN_WEIGHT_SIZE
+    sampled = _sample(clients, config, t)
+    bytes_down = _broadcast(server, sampled, config)
+    with _quiet_overflow():
+        updates, grad_het = _train_and_diagnose(server, sampled, config, t, threaded)
+        try:
+            truncation_error = _aggregate(server, config, updates)
+        except NonFiniteError as exc:
+            raise RoundAbortedError(t, None, f"nonfinite aggregate: {exc}") from exc
+        weights = np.array([u.sample_count for u in updates], dtype=np.float64)
+        weights /= weights.sum()
+        server.global_bias = sum(w * c.bias for c, w in zip(sampled, weights))
+        metrics = _evaluate(server, sampled, config, t, threaded, truncation_error, grad_het)
+    bytes_up = BYTES_PER_FLOAT * sum(
+        u.adapter.b_factor.size + u.adapter.a_factor.size
+        + sum(d.size for d in u.control_deltas or ())
+        for u in updates
+    )
+    server.round_index = t
+    return server, RoundMetrics(round=t, **metrics, bytes_down=bytes_down, bytes_up=bytes_up)
+
+
+def _sample(clients, config, round_index) -> list[ClientState]:
+    """The clients that take part in round ``round_index``, in id order."""
     n_sampled = sampled_count(config.n_clients, config.participation)
-    if n_sampled >= config.n_clients:
-        sampled_ids = list(range(config.n_clients))
-    else:
-        rng = np.random.default_rng([config.train_seed, _TAG_SAMPLING, t])
+    sampled_ids = range(config.n_clients)
+    if n_sampled < config.n_clients:
+        rng = np.random.default_rng([config.train_seed, _TAG_SAMPLING, round_index])
         sampled_ids = sorted(
             int(i) for i in rng.choice(config.n_clients, size=n_sampled, replace=False)
         )
-    sampled = [clients[i] for i in sampled_ids]
-    first_round = server.round_index == 0
-    traits = METHOD_TRAITS[config.method]
+    return [clients[i] for i in sampled_ids]
 
+
+def _broadcast(server, sampled, config) -> int:
+    """Install the global state in each sampled client; returns the round's ``bytes_down``.
+
+    Slices are copied into the packed parameters, so the factor and bias
+    views, and the optimizer state over them, stay bound. In round 1 a client
+    keeps the init slice it already holds.
+    """
+    traits = METHOD_TRAITS[config.method]
+    first_round = server.round_index == 0
     bytes_down = 0
     for client in sampled:
-        # the client's slice: in round 1 the init slice it already holds
         payload = (client.adapter.b_factor, client.adapter.a_factor)
         if not first_round:
-            # copied into the packed parameters: the factor and bias views,
-            # and the optimizer state over them, stay bound
             incoming = _broadcast_adapter(server, client.rank)
             client.adapter.b_factor[...] = incoming.b_factor
             client.adapter.a_factor[...] = incoming.a_factor
@@ -635,107 +664,80 @@ def run_round(
             if traits.fusion != "qr":
                 # the factor means / the whole stack ship; clients slice locally
                 payload = server.broadcast_factors
-        bytes_down += sum(p.size for p in payload) * BYTES_PER_FLOAT
         if traits.controls:
-            bytes_down += (
-                server.global_controls.c_a.size + server.global_controls.c_b.size
-            ) * BYTES_PER_FLOAT
+            payload += (server.global_controls.c_a, server.global_controls.c_b)
+        bytes_down += sum(p.size for p in payload) * BYTES_PER_FLOAT
+    return bytes_down
 
-    threaded = server.theta0.size >= _OVERLAP_MIN_WEIGHT_SIZE
+
+def _train_and_diagnose(server, sampled, config, round_index, threaded) -> tuple[list, float]:
+    """Pair 1: the sampled clients' updates and the round-start ``grad_heterogeneity``.
+
+    ``threaded``, the clients train on the helper while the calling thread
+    runs the diagnostic on copies of the broadcast B, A and bias, which
+    training moves in place.
+    """
     # filled here, so two threads never race on the lazy fill
     _frozen_logits(server)
-    broadcast = None
+    factors = [(c.adapter.b_factor, c.adapter.a_factor, c.bias) for c in sampled]
     if threaded:
-        # training moves B, A and bias in place while the diagnostic runs
-        broadcast = [
-            (c.adapter.b_factor.copy(), c.adapter.a_factor.copy(), c.bias.copy())
-            for c in sampled
-        ]
-    with _quiet_overflow():
-        updates, grad_het = alongside(
-            lambda: [_train_client(client, server, config, t) for client in sampled],
-            lambda: _gradient_heterogeneity(server, sampled, broadcast),
-            threaded,
-        )
-
-    bytes_up = 0
-    for update in updates:
-        bytes_up += (
-            update.adapter.b_factor.size + update.adapter.a_factor.size
-        ) * BYTES_PER_FLOAT
-        if update.control_deltas is not None:
-            bytes_up += sum(d.size for d in update.control_deltas) * BYTES_PER_FLOAT
-
-    with _quiet_overflow():
-        try:
-            truncation_error = _aggregate(server, config, updates)
-        except NonFiniteError as exc:
-            raise RoundAbortedError(t, None, f"nonfinite aggregate: {exc}") from exc
-
-    weights = np.array([u.sample_count for u in updates], dtype=np.float64)
-    weights /= weights.sum()
-    server.global_bias = sum(w * c.bias for c, w in zip(sampled, weights))
-
-    def heldout_accuracy():
-        if server.heldout is None:
-            return None
-        return logit_accuracy(_global_logits(server, config, "heldout"), server.heldout[1])
-
-    def checked_train_metrics():
-        drift = float(
-            np.mean([_distance(c.effective_weight(), server.global_model) for c in sampled])
-        )
-        train_loss, train_acc = logit_loss_and_accuracy(
-            _global_logits(server, config, "train"), server.pooled_train[1]
-        )
-        checked = {
-            "train_loss": train_loss,
-            "drift": drift,
-            "truncation_error": truncation_error,
-            "grad_heterogeneity": grad_het,
-        }
-        nonfinite = [
-            f"{name}={value!r}" for name, value in checked.items() if not np.isfinite(value)
-        ]
-        if nonfinite:
-            raise RoundAbortedError(t, None, "nonfinite " + ", ".join(nonfinite))
-        return drift, train_loss, train_acc
-
-    with _quiet_overflow():
-        heldout_acc, (drift, train_loss, train_acc) = alongside(
-            heldout_accuracy, checked_train_metrics, threaded
-        )
-
-    server.round_index = t
-    metrics = RoundMetrics(
-        round=t,
-        train_loss=train_loss,
-        train_accuracy=train_acc,
-        heldout_accuracy=heldout_acc,
-        truncation_error=truncation_error,
-        drift=drift,
-        grad_heterogeneity=grad_het,
-        bytes_down=bytes_down,
-        bytes_up=bytes_up,
+        factors = [tuple(x.copy() for x in client_factors) for client_factors in factors]
+    return alongside(
+        lambda: [_train_client(client, server, config, round_index) for client in sampled],
+        lambda: _gradient_heterogeneity(server, sampled, factors),
+        threaded,
     )
-    return server, metrics
+
+
+def _evaluate(server, sampled, config, round_index, threaded, truncation_error, grad_het) -> dict:
+    """Pair 2: the record's metric fields, checked finite, once the aggregate is installed.
+
+    ``threaded``, the held-out forward runs on the helper while the calling
+    thread computes ``drift`` and the training-set metrics. A nonfinite
+    value raises ``RoundAbortedError``.
+    """
+    heldout_acc, (drift, train_loss, train_acc) = alongside(
+        lambda: _heldout_accuracy(server, config),
+        lambda: _train_metrics(server, sampled, config),
+        threaded,
+    )
+    checked = {
+        "train_loss": train_loss,
+        "drift": drift,
+        "truncation_error": truncation_error,
+        "grad_heterogeneity": grad_het,
+    }
+    nonfinite = [f"{name}={value!r}" for name, value in checked.items() if not np.isfinite(value)]
+    if nonfinite:
+        raise RoundAbortedError(round_index, None, "nonfinite " + ", ".join(nonfinite))
+    return {**checked, "train_accuracy": train_acc, "heldout_accuracy": heldout_acc}
+
+
+def _heldout_accuracy(server, config) -> float | None:
+    if server.heldout is None:
+        return None
+    return logit_accuracy(_global_logits(server, config, "heldout"), server.heldout[1])
+
+
+def _train_metrics(server, sampled, config) -> tuple[float, float, float]:
+    """``drift`` over the sampled clients, then the training-set loss and accuracy."""
+    drift = float(np.mean([_distance(c.effective_weight(), server.global_model) for c in sampled]))
+    train_logits = _global_logits(server, config, "train")
+    return (drift, *logit_loss_and_accuracy(train_logits, server.pooled_train[1]))
 
 
 def _gradient_heterogeneity(
     server: ServerState,
     sampled: list[ClientState],
-    factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> float:
     """Mean distance of per-client full-shard gradients from their weighted mean.
 
     Each client's gradient is the dense X_c^T G_c; its logits come from the
-    frozen-logit cache plus the client's low-rank term. ``factors`` holds
-    each client's (B, A, bias) to read in place of its live ones; run_round
-    passes copies of the broadcast state while training moves it.
+    frozen-logit cache plus the client's low-rank term, with the (B, A, bias)
+    that ``factors`` holds for it.
     """
     base_logits = _frozen_logits(server)[0]
-    if factors is None:
-        factors = [(c.adapter.b_factor, c.adapter.a_factor, c.bias) for c in sampled]
     grads = []
     counts = []
     for client, (b_factor, a_factor, bias) in zip(sampled, factors):
@@ -812,8 +814,8 @@ def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
     formed once, on first use in round 1 (which evaluates the global model
     anyway), rather than in ``init_federation``. Clients read row views of
     the training block. Both blocks are allocated first, training then
-    held-out; from ``_OVERLAP_MIN_WEIGHT_SIZE`` the held-out product runs on
-    a helper thread while the calling thread forms the training one.
+    held-out, and each is one ``linalg.product_into``, cut across two
+    threads when it is large enough.
     """
     if server.frozen_logits is None:
         if server.pooled_train is None:
@@ -826,14 +828,10 @@ def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
             None if split is None else np.empty((split[0].shape[0], base.shape[1]))
             for split in splits
         ]
-
-        def fill(i):
-            if blocks[i] is not None:
-                np.matmul(splits[i][0], base, out=blocks[i])
-                blocks[i].flags.writeable = False
-
-        threaded = blocks[1] is not None and server.theta0.size >= _OVERLAP_MIN_WEIGHT_SIZE
-        alongside(lambda: fill(1), lambda: fill(0), threaded)
+        for split, block in zip(splits, blocks):
+            if block is not None:
+                product_into(block, split[0], base)
+                block.flags.writeable = False
         server.frozen_logits = tuple(blocks)
     return server.frozen_logits
 

@@ -33,6 +33,8 @@ from .federation import (
     METHODS,
     FederationConfig,
     RoundContext,
+    ServerState,
+    _frozen_logits,
     account_communication,
     init_federation,
     run_federation,
@@ -40,6 +42,7 @@ from .federation import (
 )
 from .linalg import _halves, frobenius_norm, low_rank_update, subspace_residual, thin_qr
 from .model import factored_loss_and_grads, model_features
+from .optim import zero_controls
 from .oracle import factor_gradients, head_loss_and_grads
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
@@ -86,6 +89,13 @@ def _random_updates(rng, n_clients, d, k):
     return updates
 
 
+def _weighted_sum(updates) -> np.ndarray:
+    """The fusion's dense oracle: each client's B @ A, summed by sample weight."""
+    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
+    weights = counts / counts.sum()
+    return sum(w * (u.adapter.b_factor @ u.adapter.a_factor) for u, w in zip(updates, weights))
+
+
 def check_exact_reconstruction() -> CheckResult:
     """Concatenated product equals the weighted sum of client updates."""
     rng = np.random.default_rng(42)
@@ -97,12 +107,7 @@ def check_exact_reconstruction() -> CheckResult:
         k = int(rng.integers(8, 33))
         updates = _random_updates(rng, n_clients, d, k)
         reconstructed = concat_reconstruct(updates)
-        counts = np.array([u.sample_count for u in updates], dtype=np.float64)
-        weights = counts / counts.sum()
-        expected = sum(
-            w * (u.adapter.b_factor @ u.adapter.a_factor)
-            for u, w in zip(updates, weights)
-        )
+        expected = _weighted_sum(updates)
         err = frobenius_norm(reconstructed - expected) / (1.0 + frobenius_norm(expected))
         worst = max(worst, err)
     elapsed = time.perf_counter() - start
@@ -169,10 +174,11 @@ def check_split_products() -> CheckResult:
     product below is one that ``linalg._halves`` cuts, which the check
     asserts on the operands each call passes to ``product_into``, so that it
     cannot stop reaching the split: the stack product, ``qr_compress``'s
-    projection and trailing residual, base + g * B * A and a hidden map of
-    512 samples x 128 inputs x 512 units. That each call still goes through
-    ``product_into`` is pinned by a test counting one helper thread per
-    product.
+    projection and trailing residual, base + g * B * A, a hidden map of
+    512 samples x 128 inputs x 512 units, and the frozen logits
+    ``federation._frozen_logits`` forms from that map. That each call still
+    goes through ``product_into`` is pinned by a test counting one helper
+    thread per product.
     """
     rng = np.random.default_rng(44)
     d = k = 512
@@ -192,11 +198,7 @@ def check_split_products() -> CheckResult:
 
     reconstructed = concat_reconstruct(updates)
     stack_same = reconstructed.tobytes() == (b_stack @ a_stack).tobytes()
-    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
-    expected = sum(
-        w * (u.adapter.b_factor @ u.adapter.a_factor)
-        for u, w in zip(updates, counts / counts.sum())
-    )
+    expected = _weighted_sum(updates)
     sum_err = frobenius_norm(reconstructed - expected) / (1.0 + frobenius_norm(expected))
     result = qr_compress(reconstructed, server_rank)
     _, dense_r = thin_qr(reconstructed)
@@ -205,20 +207,26 @@ def check_split_products() -> CheckResult:
         low_rank_update(base, result.q, result.r, 0.7).tobytes()
         == (base + 0.7 * (result.q @ result.r)).tobytes()
     )
-    features_same = (
-        model_features(inputs, hidden).tobytes() == np.tanh(inputs @ hidden).tobytes()
+    features = model_features(inputs, hidden)
+    features_same = features.tobytes() == np.tanh(inputs @ hidden).tobytes()
+    server = ServerState(
+        theta0=base, base_frozen=base, global_model=base, global_bias=np.zeros((1, k)),
+        global_controls=zero_controls(d, k, server_rank),
+        pooled_train=(features, np.zeros(features.shape[0], dtype=np.int64)),
     )
+    logits_same = _frozen_logits(server)[0].tobytes() == np.matmul(features, base).tobytes()
     operands = [
         (b_stack, a_stack),
         (result.q.T, reconstructed[:, server_rank:]),
         (result.q, result.r[:, server_rank:]),
         (result.q, result.r),
         (inputs, hidden),
+        (server.pooled_train[0], server.base_frozen),
     ]
     uncut = [(a, b) for a, b in operands if _halves(*a.shape, b.shape[1]) is None]
     passed = (
         not uncut and stack_same and sum_err <= 1e-12 and tail_gap <= 1e-9
-        and update_same and features_same
+        and update_same and features_same and logits_same
     )
     same = {True: "bit-identical", False: "DIFFERS"}
     return CheckResult(
@@ -227,7 +235,8 @@ def check_split_products() -> CheckResult:
         f"{len(operands) - len(uncut)} of {len(operands)} products cut; stack product "
         f"{same[stack_same]}, error to the weighted sum {sum_err:.3e} (tol 1e-12); "
         f"truncation gap to dense QR {tail_gap:.3e} (tol 1e-9); base + g*B*A "
-        f"{same[update_same]}; tanh map {same[features_same]}",
+        f"{same[update_same]}; tanh map {same[features_same]}; frozen logits "
+        f"{same[logits_same]}",
     )
 
 

@@ -492,28 +492,46 @@ class TestFactoredHead:
         guarded = run_federation(config, ds)
         assert [m.to_dict() for m in guarded] == [m.to_dict() for m in expected]
 
-    def test_cache_is_filled_once_read_only_and_exact(self):
-        config = small_config(hidden_dim=10, rounds=3)
-        ds = small_dataset(config, d_in=12)
-        heldout = generate_blobs(8, 10, 12, 0.3, 999)
-        server, clients = init_federation(config, ds, eval_dataset=heldout)
-        assert server.frozen_logits is None  # not filled at init
-        server, _ = run_round(server, clients, config)
-        cache = server.frozen_logits
-        train_block, heldout_block = cache
-        for block, features in (
-            (train_block, server.pooled_train[0]),
-            (heldout_block, server.heldout[0]),
-        ):
-            assert block.tobytes() == (features @ server.base_frozen).tobytes()
-            assert not block.flags.writeable
-            with pytest.raises(ValueError):
-                block[0, 0] = 1.0
-        for _ in range(2):
+    def test_cache_is_filled_once_read_only_and_exact(self, monkeypatch, started_threads):
+        fills = []
+        frozen_logits = federation._frozen_logits
+
+        def count_fill(server):
+            if server.frozen_logits is None:
+                before = len(started_threads)
+                frozen_logits(server)
+                fills.append(len(started_threads) - before)
+            return frozen_logits(server)
+
+        monkeypatch.setattr(federation, "_frozen_logits", count_fill)
+        # (hidden units, classes, samples per class, helper threads of the
+        # fill): 256 rows x 1024 x 128 is above linalg.SPLIT_MIN_WORK, so each
+        # block is cut across a helper; the small layer's blocks stay whole
+        for hidden_dim, classes, spc, fill_threads in ((10, 8, 25, 0), (1024, 128, 2, 2)):
+            config = small_config(hidden_dim=hidden_dim, rounds=3)
+            d_in = max(12, classes)  # the blobs' simplex layout needs d_in >= classes
+            ds = small_dataset(config, classes=classes, spc=spc, d_in=d_in)
+            heldout = generate_blobs(classes, spc, d_in, 0.3, 999)
+            server, clients = init_federation(config, ds, eval_dataset=heldout)
+            assert server.frozen_logits is None  # not filled at init
+            fills.clear()
             server, _ = run_round(server, clients, config)
-            assert server.frozen_logits is cache
-            assert server.frozen_logits[0] is train_block
-            assert server.frozen_logits[1] is heldout_block
+            assert fills == [fill_threads]
+            cache = server.frozen_logits
+            train_block, heldout_block = cache
+            for block, features in (
+                (train_block, server.pooled_train[0]),
+                (heldout_block, server.heldout[0]),
+            ):
+                assert block.tobytes() == (features @ server.base_frozen).tobytes()
+                assert not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+            for _ in range(2):
+                server, _ = run_round(server, clients, config)
+                assert server.frozen_logits is cache
+                assert server.frozen_logits[0] is train_block
+                assert server.frozen_logits[1] is heldout_block
 
     def test_clients_read_row_views_of_the_cache(self, monkeypatch):
         config = small_config(rounds=1)
@@ -701,8 +719,8 @@ class TestOverlappedRound:
     def test_wide_layer_round_starts_only_the_round_helpers(self, started_threads):
         # wide_hetero's shape: 1024 x 128, 16 clients of rank 4/8/16 at half
         # participation. Set-up cuts both hidden maps across a helper; round
-        # 1 forms the held-out frozen logits on a helper, and every round runs
-        # its two pairs; no round product is large enough to cut
+        # 1 cuts both frozen-logit products, and every round runs its two
+        # pairs; no other round product is large enough to cut
         spec = preset_spec("paper-hetero")
         config = dataclasses.replace(
             spec.federation, n_clients=16, client_ranks=tuple((4, 8, 16)[i % 3] for i in range(16)),
@@ -722,8 +740,43 @@ class TestOverlappedRound:
             before = len(started_threads)
             server, _ = run_round(server, clients, config)
             per_round.append(len(started_threads) - before)
-        assert per_round == [3, 2]
+        assert per_round == [4, 2]
         assert threading.active_count() == threads
+
+
+ROUND_PHASES = ("_sample", "_broadcast", "_train_and_diagnose", "_aggregate", "_evaluate")
+
+
+class TestRoundPhases:
+    """run_round is its five phase functions, called once each, in order."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_each_phase_runs_once_per_round_in_order(
+        self, monkeypatch, started_threads, overlap
+    ):
+        config = small_config(method="ilora_s", participation=0.5, hidden_dim=24, rounds=3)
+        ds = small_dataset(config)
+        heldout = generate_blobs(8, 10, 16, 0.3, 999)
+        if overlap:
+            overlap_every_layer(monkeypatch)
+        unwrapped = [json.dumps(m.to_dict()) for m in run_federation(config, ds, heldout)]
+
+        calls = []
+
+        def recording(name, phase):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return phase(*args, **kwargs)
+            return record
+
+        for name in ROUND_PHASES:
+            monkeypatch.setattr(federation, name, recording(name, getattr(federation, name)))
+        wrapped = [json.dumps(m.to_dict()) for m in run_federation(config, ds, heldout)]
+        assert calls == list(ROUND_PHASES) * config.rounds
+        assert wrapped == unwrapped
+        # over both runs, two helpers a round when overlapped (one per pair),
+        # none otherwise
+        assert len(started_threads) == (2 * 2 * config.rounds if overlap else 0)
 
 
 class TestSplitProducts:

@@ -569,7 +569,8 @@ class TestClientPathBitIdentical:
         for _ in range(rounds_before):
             server, _ = run_round(server, clients, config)
         want = gradient_heterogeneity_reference(server, clients)
-        assert federation._gradient_heterogeneity(server, clients) == want
+        live = [(c.adapter.b_factor, c.adapter.a_factor, c.bias) for c in clients]
+        assert federation._gradient_heterogeneity(server, clients, live) == want
         # every client is sampled, so the round's drift covers all of them
         server, metrics = run_round(server, clients, config)
         drift = float(
