@@ -31,30 +31,24 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     Returns a process exit code: 0 on success, 1 when a round aborted (a
     diagnostic record is written in place of further rounds), 2 when set-up
-    finds the config does not fit the data (nothing is written).
+    finds the config does not fit the data, or when the output file cannot
+    be written (one ``error:`` line, no traceback).
     """
     train, heldout = spec.build_datasets()
     try:
-        metrics = run_federation(spec.federation, train, heldout)
-    except (ConfigError, PartitionError) as exc:
+        try:
+            metrics = run_federation(spec.federation, train, heldout)
+        except RoundAbortedError as exc:
+            record = {"aborted": True, "round": exc.round_index, "client": exc.client_id,
+                      "error": str(exc)}
+            with open(spec.output_path, "w", encoding="ascii") as fh:
+                fh.write(json.dumps(record) + "\n")
+            print(f"aborted: {exc}", file=sys.stderr)
+            return 1
+        write_metrics(metrics, spec.output_path)
+    except (ConfigError, PartitionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RoundAbortedError as exc:
-        with open(spec.output_path, "w", encoding="ascii") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "aborted": True,
-                        "round": exc.round_index,
-                        "client": exc.client_id,
-                        "error": str(exc),
-                    }
-                )
-                + "\n"
-            )
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 1
-    write_metrics(metrics, spec.output_path)
     last = metrics[-1]
     print(
         f"{spec.federation.method}: {len(metrics)} rounds -> {spec.output_path} "

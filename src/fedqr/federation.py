@@ -808,32 +808,32 @@ def _fold_control_deltas(server, config, updates):
 
 
 def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read-only ``features @ base_frozen`` of the pooled training set and held-out split.
+    """The server's frozen-logit cache: ``logit_blocks`` of its training and held-out splits.
 
-    The frozen base never changes during a federation, so this product is
-    formed once, on first use in round 1 (which evaluates the global model
-    anyway), rather than in ``init_federation``. Clients read row views of
-    the training block. Both blocks are allocated first, training then
-    held-out, and each is one ``linalg.product_into``, cut across two
-    threads when it is large enough.
+    The frozen base never changes during a federation, so this is formed
+    once, on first use in round 1 (which evaluates the global model anyway),
+    not in ``init_federation``. Clients read row views of the training block.
     """
     if server.frozen_logits is None:
         if server.pooled_train is None:
-            raise ValueError(
-                "server state has no pooled training set; build it with init_federation"
-            )
-        base = server.base_frozen
-        splits = (server.pooled_train, server.heldout)
-        blocks = [
-            None if split is None else np.empty((split[0].shape[0], base.shape[1]))
-            for split in splits
-        ]
-        for split, block in zip(splits, blocks):
-            if block is not None:
-                product_into(block, split[0], base)
-                block.flags.writeable = False
-        server.frozen_logits = tuple(blocks)
+            raise ValueError("server state has no pooled training set; see init_federation")
+        heldout = None if server.heldout is None else server.heldout[0]
+        server.frozen_logits = logit_blocks(server.base_frozen, server.pooled_train[0], heldout)
     return server.frozen_logits
+
+
+def logit_blocks(base: np.ndarray, *features: np.ndarray | None) -> tuple:
+    """Read-only ``x @ base`` for each feature matrix ``x`` (None stays None).
+
+    Every block is allocated first, in order, then each is one
+    ``linalg.product_into``, cut across two threads when it is large enough.
+    """
+    blocks = [None if x is None else np.empty((x.shape[0], base.shape[1])) for x in features]
+    for x, block in zip(features, blocks):
+        if block is not None:
+            product_into(block, x, base)
+            block.flags.writeable = False
+    return tuple(blocks)
 
 
 def _global_logits(server: ServerState, config: FederationConfig, split: str) -> np.ndarray:

@@ -9,8 +9,10 @@ committed drift-study reference) and reports a measured pass/fail. The CLI
 
 from __future__ import annotations
 
+import copy
 import importlib.resources
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -33,16 +35,16 @@ from .federation import (
     METHODS,
     FederationConfig,
     RoundContext,
-    ServerState,
-    _frozen_logits,
+    _sample,
     account_communication,
     init_federation,
+    logit_blocks,
     run_federation,
     run_round,
+    sampled_count,
 )
-from .linalg import _halves, frobenius_norm, low_rank_update, subspace_residual, thin_qr
+from .linalg import BasisError, _halves, frobenius_norm, low_rank_update, subspace_residual, thin_qr
 from .model import factored_loss_and_grads, model_features
-from .optim import zero_controls
 from .oracle import factor_gradients, head_loss_and_grads
 
 DRIFT_ORACLE_RESOURCE = "drift_oracle.json"
@@ -176,7 +178,7 @@ def check_split_products() -> CheckResult:
     cannot stop reaching the split: the stack product, ``qr_compress``'s
     projection and trailing residual, base + g * B * A, a hidden map of
     512 samples x 128 inputs x 512 units, and the frozen logits
-    ``federation._frozen_logits`` forms from that map. That each call still
+    ``federation.logit_blocks`` forms from that map. That each call still
     goes through ``product_into`` is pinned by a test counting one helper
     thread per product.
     """
@@ -209,19 +211,15 @@ def check_split_products() -> CheckResult:
     )
     features = model_features(inputs, hidden)
     features_same = features.tobytes() == np.tanh(inputs @ hidden).tobytes()
-    server = ServerState(
-        theta0=base, base_frozen=base, global_model=base, global_bias=np.zeros((1, k)),
-        global_controls=zero_controls(d, k, server_rank),
-        pooled_train=(features, np.zeros(features.shape[0], dtype=np.int64)),
-    )
-    logits_same = _frozen_logits(server)[0].tobytes() == np.matmul(features, base).tobytes()
+    logits = logit_blocks(base, features)[0]
+    logits_same = logits.tobytes() == np.matmul(features, base).tobytes()
     operands = [
         (b_stack, a_stack),
         (result.q.T, reconstructed[:, server_rank:]),
         (result.q, result.r[:, server_rank:]),
         (result.q, result.r),
         (inputs, hidden),
-        (server.pooled_train[0], server.base_frozen),
+        (features, base),
     ]
     uncut = [(a, b) for a, b in operands if _halves(*a.shape, b.shape[1]) is None]
     passed = (
@@ -261,8 +259,156 @@ def check_bias_witness() -> CheckResult:
     )
 
 
+def round_snapshot(server, clients):
+    """The ``before`` of ``round_invariants``: a deep copy of the state, taken before a round."""
+    return copy.deepcopy((server, clients))
+
+
+def _state_bits(client) -> list[bytes]:
+    """A client's params, AdamW state and controls, as bytes."""
+    opt, controls = client.opt_state, client.controls
+    state = (client.params, opt.m, opt.v, opt.step, controls.c_a, controls.c_b)
+    return [np.asarray(x).tobytes() for x in state]
+
+
+# tolerance of the bias and control folds, relative to 1 + the largest entry
+# they fold: they are re-derived by other sums than the round's, e.g. a
+# client's control delta as its new control minus its old
+FOLD_TOL = 1e-12
+
+
+def _fold_problems(name, got, want, *folded) -> list[str]:
+    gap = float(np.max(np.abs(got - want)))
+    scale = max(float(np.max(np.abs(a), initial=0.0)) for a in (want, *folded))
+    return [] if gap <= FOLD_TOL * (1.0 + scale) else [f"{name} fold off by {gap:.3e}"]
+
+
+def round_invariants(before, after, config, metrics, gaps=None) -> list[str]:
+    """The protocol's per-round invariants, checked on one round; returns the violations.
+
+    ``before`` is ``round_snapshot`` of the ``(server, clients)`` that
+    ``run_round`` started from, ``after`` the pair it left and ``metrics``
+    its record. An empty list certifies that:
+
+    * the sampled clients, ``sampled_count`` of them (``_sample``'s draw),
+      are exactly those whose optimizer stepped, and every other client's
+      parameters, AdamW state and controls are unchanged bit for bit;
+    * ``(bytes_down, bytes_up)`` equals ``account_communication``; the stack
+      that a stack method ships is priced from the previous broadcast pair;
+    * the global model is ``low_rank_update(base, B_g, A_g, global_scale)``
+      bit for bit;
+    * a QR result is kept exactly under QR and stack fusion. Each client
+      rank's ``personalize`` slice of it lies in span(Q) within 1e-10, and its
+      truncation error equals ||stack - Q R||_F within 1e-9 (1 + ||stack||_F),
+      the stack product rebuilt from the sampled clients' uploads. The record
+      reports that error under QR fusion and 0 otherwise;
+    * the global bias is the sample-weighted mean of the sampled clients'
+      biases. A control method's global controls move by the mean, over the
+      sampled clients, of the change in their controls, each folded into the
+      leading block. Both hold within ``FOLD_TOL``; a method without controls
+      moves no control at all;
+    * the record's metric fields are finite and in range.
+
+    ``gaps``, when given, keeps the largest slice residual under "subspace".
+    """
+    (old_server, old_clients), (server, clients) = before, after
+    traits = METHOD_TRAITS[config.method]
+    problems = []
+    t = old_server.round_index + 1
+    drawn = {id(c) for c in _sample(clients, config, t)}
+    sampled = [i for i, c in enumerate(clients) if id(c) in drawn]
+    pairs = list(zip(old_clients, clients))
+    stepped = [i for i, (old, new) in enumerate(pairs) if old.opt_state.step < new.opt_state.step]
+    if len(sampled) != sampled_count(config.n_clients, config.participation) or stepped != sampled:
+        problems.append(f"clients {stepped} stepped, clients {sampled} were sampled")
+    for i, (old, new) in enumerate(pairs):
+        if i not in sampled and _state_bits(old) != _state_bits(new):
+            problems.append(f"unsampled client {i} changed")
+    group = [clients[i] for i in sampled]
+
+    d, k = server.base_frozen.shape
+    shipped = old_server.broadcast_factors  # the stack a stack method ships this round
+    ctx = RoundContext(tuple(c.rank for c in group), d, k, first_round=t == 1,
+                       shipped_stack_rank=None if shipped is None else shipped[0].shape[1])
+    analytic = account_communication(config, ctx)
+    if (metrics.bytes_down, metrics.bytes_up) != analytic:
+        problems.append(f"bytes {(metrics.bytes_down, metrics.bytes_up)} vs analytic {analytic}")
+
+    want = low_rank_update(server.base_frozen, *server.broadcast_factors, config.global_scale)
+    if server.global_model.tobytes() != want.tobytes():
+        problems.append("global model is not base + global_scale * B_g A_g")
+
+    result = server.last_result
+    truncation = 0.0
+    if (result is None) != (traits.fusion == "mean"):
+        problems.append(f"QR result {result is not None} under {traits.fusion} fusion")
+    elif result is not None:
+        for rank in sorted(set(config.client_ranks)):
+            try:
+                residual = subspace_residual(result.q, personalize(result, rank).b_factor)
+            except BasisError as exc:
+                residual = math.inf
+                problems.append(f"Q: {exc}")
+            if gaps is not None:
+                gaps["subspace"] = max(gaps.get("subspace", 0.0), residual)
+            if residual > 1e-10:
+                problems.append(f"rank-{rank} slice leaves span(Q) by {residual:.3e} (tol 1e-10)")
+        uploads = [ClientUpdate(c.client_id, c.adapter, c.n_samples) for c in group]
+        stack = concat_reconstruct(uploads)
+        gap = abs(frobenius_norm(stack - result.q @ result.r) - result.truncation_error)
+        if gap > 1e-9 * (1.0 + frobenius_norm(stack)):
+            problems.append(f"truncation identity gap {gap:.3e}")
+        if traits.fusion == "qr":
+            truncation = result.truncation_error
+    if metrics.truncation_error != truncation:
+        problems.append(f"truncation_error {metrics.truncation_error!r}, kept {truncation!r}")
+
+    counts = [c.n_samples for c in group]
+    biases = np.concatenate([c.bias for c in group])
+    mean_bias = np.average(biases, axis=0, weights=counts, keepdims=True)
+    problems += _fold_problems("bias", server.global_bias, mean_bias, biases)
+    for side in ("c_a", "c_b"):
+        start, got = (getattr(s.global_controls, side) for s in (old_server, server))
+        olds = [getattr(old_clients[i].controls, side) for i in sampled]
+        news = [getattr(clients[i].controls, side) for i in sampled]
+        if not traits.controls:
+            if any(a.tobytes() != b.tobytes() for a, b in zip([start, *olds], [got, *news])):
+                problems.append(f"{side} moved under a method without controls")
+            continue
+        moved = np.zeros_like(start)
+        for old, new in zip(olds, news):
+            moved[: new.shape[0], : new.shape[1]] += new - old
+        problems += _fold_problems(side, got, start + moved / len(sampled), *olds, *news)
+
+    ranges = {"train_loss": math.inf, "truncation_error": math.inf, "drift": math.inf,
+              "grad_heterogeneity": math.inf, "train_accuracy": 1.0}
+    if server.heldout is not None:
+        ranges["heldout_accuracy"] = 1.0
+    elif metrics.heldout_accuracy is not None:
+        problems.append("held-out accuracy without a held-out split")
+    for name, top in ranges.items():
+        value = getattr(metrics, name)
+        if value is None or not (0.0 <= value <= top and math.isfinite(value)):
+            problems.append(f"{name} {value!r} outside [0, {top}]")
+    if not metrics.round == server.round_index == t:
+        problems.append(f"record of round {metrics.round}, server at {server.round_index}, not {t}")
+    return problems
+
+
+def _checked_rounds(config, dataset, gaps=None):
+    """Run ``config.rounds`` rounds; yields each one's record and ``round_invariants``."""
+    server, clients = init_federation(config, dataset)
+    for _ in range(config.rounds):
+        before = round_snapshot(server, clients)
+        server, metrics = run_round(server, clients, config)
+        yield metrics, round_invariants(before, (server, clients), config, metrics, gaps)
+
+
 def check_subspace_preservation() -> CheckResult:
-    """Every personalized slice stays inside the aggregated QR column space."""
+    """Every personalized slice stays inside the aggregated QR column space.
+
+    Runs ``round_invariants`` on every round, which also checks the others.
+    """
     config = FederationConfig(
         n_clients=4,
         client_ranks=(1, 2, 3, 4),
@@ -279,22 +425,14 @@ def check_subspace_preservation() -> CheckResult:
         train_seed=27,
     )
     dataset = generate_blobs(8, 30, 16, 0.3, config.data_seed)
-    server, clients = init_federation(config, dataset)
-    worst = 0.0
-    calls = 0
-    for _ in range(config.rounds):
-        server, _ = run_round(server, clients, config)
-        result = server.last_result
-        for rank in range(1, config.server_rank + 1):
-            adapter = personalize(result, rank)
-            worst = max(worst, subspace_residual(result.q, adapter.b_factor))
-            calls += 1
-    passed = worst <= 1e-10
-    return CheckResult(
-        "subspace_preservation",
-        passed,
-        f"worst residual {worst:.3e} over {calls} personalize calls in 10 rounds (tol 1e-10)",
+    gaps = {"subspace": 0.0}
+    problems = [p for _, found in _checked_rounds(config, dataset, gaps) for p in found]
+    calls = config.rounds * len(set(config.client_ranks))
+    detail = (
+        f"worst residual {gaps['subspace']:.3e} over {calls} personalize calls in 10 rounds "
+        f"(tol 1e-10)"
     )
+    return CheckResult("subspace_preservation", not problems, "; ".join([detail, *problems[:3]]))
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -578,8 +716,8 @@ def check_communication_accounting() -> CheckResult:
     The grid covers full participation at equal ranks and partial
     participation (0.5, 0.25) at heterogeneous ranks, for every method
     (a method that needs equal ranks runs them at the largest rank).
-    Sampled clients are read off the optimizer step counters; the full stack
-    ships the previous round's stack, priced from that round's sample.
+    Every round goes through ``round_invariants``, which prices the sampled
+    clients' traffic and, with it, checks the round's other invariants.
     """
     grid = [
         ((2, 2), 12, 6, 1.0),  # (client ranks, input_dim, classes, participation)
@@ -612,31 +750,12 @@ def check_communication_accounting() -> CheckResult:
                 train_seed=23,
             )
             dataset = generate_blobs(classes, max(6, n_clients), d_in, 0.3, 3)
-            server, clients = init_federation(config, dataset)
-            shipped_stack_rank = None
-            for round_index in range(config.rounds):
-                steps_before = [c.opt_state.step for c in clients]
-                server, metrics = run_round(server, clients, config)
-                sampled_ranks = tuple(
-                    c.rank for c, before in zip(clients, steps_before) if c.opt_state.step != before
-                )
-                ctx = RoundContext(
-                    sampled_ranks=sampled_ranks,
-                    d=d_in,
-                    k=classes,
-                    first_round=round_index == 0,
-                    shipped_stack_rank=shipped_stack_rank,
-                )
-                shipped_stack_rank = sum(sampled_ranks)
-                expect_down, expect_up = account_communication(config, ctx)
-                if (metrics.bytes_down, metrics.bytes_up) != (expect_down, expect_up):
-                    mismatches.append(
-                        f"{method} ranks={client_ranks} p={participation} "
-                        f"round {round_index + 1}: "
-                        f"measured {(metrics.bytes_down, metrics.bytes_up)} "
-                        f"vs analytic {(expect_down, expect_up)}"
-                    )
-                if round_index > 0:
+            for metrics, found in _checked_rounds(config, dataset):
+                mismatches += [
+                    f"{method} ranks={client_ranks} p={participation} round {metrics.round}: {p}"
+                    for p in found
+                ]
+                if metrics.round > 1:
                     per_method_down[method] = metrics.bytes_down
         if participation == 1.0:
             # stationary rounds at equal ranks: full-stack downlink costs S*r/r_s

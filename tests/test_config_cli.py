@@ -510,6 +510,23 @@ class TestCliMain:
         assert cli.main(["run", "--config", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("aborts", [False, True])
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys, aborts):
+        # both the metrics file and the abort record go to --out
+        if aborts:
+            def explode(*args, **kwargs):
+                raise RoundAbortedError(2, 1, "loss=nan")
+
+            monkeypatch.setattr(cli, "run_federation", explode)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(serialize_spec(fast_spec(tmp_path)))
+        out_path = tmp_path / "missing" / "m.jsonl"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_path) in err
+        assert not out_path.parent.exists()
+
     def test_verify_suite_dispatch(self, capsys):
         assert cli.main(["verify", "--suite", "bias"]) == 0
         out = capsys.readouterr().out
