@@ -7,7 +7,7 @@ and the frozen base is identical across the federation.
 
 import numpy as np
 
-from fedqr import qr_orthogonal_init, effective_weight, subspace_residual, thin_qr
+from fedqr import qr_orthogonal_init, effective_weight, frobenius_norm, subspace_residual, thin_qr
 
 rng = np.random.default_rng(0)
 theta0 = rng.standard_normal((12, 8))
@@ -29,7 +29,7 @@ print("frozen bases identical across ranks:", np.array_equal(base_a.frozen, base
 # with client rank == server rank and unit scaling, the effective weight
 # reproduces the pre-trained weight exactly
 base, adapter = qr_orthogonal_init(theta0, server_rank, server_rank, scaling=1.0)
-gap = np.linalg.norm(effective_weight(base, adapter) - theta0)
+gap = frobenius_norm(effective_weight(base, adapter) - theta0)
 print(f"init identity at matching ranks: ||effective - theta0|| = {gap:.2e}")
 
 # any client's initial update lives inside the leading server-rank subspace

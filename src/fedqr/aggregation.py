@@ -118,20 +118,19 @@ def qr_compress(delta: np.ndarray, server_rank: int) -> AggregationResult:
     arithmetic because Q is orthonormal, and which needs no further pass over
     delta. Finite input whose residual or norms overflow gives a nonfinite
     truncation error, without a numpy warning. A large residual is formed in
-    two row blocks on two threads (``linalg.product_into``); its sum and every
-    norm stay whole on the calling thread, so the bits are unchanged.
+    two row blocks on two threads (``linalg.product_into``); its squares, its
+    sum and every norm stay whole on the calling thread (``frobenius_norm``).
     """
     q, r = leading_qr(delta, server_rank)
     trailing = delta[:, server_rank:]
     with np.errstate(over="ignore", invalid="ignore"):
         tail = np.empty(trailing.shape)
 
-        def squared_residual(index):
+        def trailing_residual(index):
             np.subtract(trailing[index], tail[index], out=tail[index])
-            np.square(tail[index], out=tail[index])
 
-        product_into(tail, q, r[:, server_rank:], squared_residual)
-        truncation_error = float(np.sqrt(np.sum(tail)))
+        product_into(tail, q, r[:, server_rank:], trailing_residual)
+        truncation_error = frobenius_norm(tail, out=tail)
         head_residual = frobenius_norm(delta[:, :server_rank] - q @ r[:, :server_rank])
         residual = float(np.hypot(head_residual, truncation_error))
         scale = float(np.hypot(frobenius_norm(r), truncation_error))

@@ -59,7 +59,15 @@ from .aggregation import (
     stack_product,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition, permute_rows
-from .linalg import NonFiniteError, alongside, low_rank_update, product_into, slice_cols, slice_rows
+from .linalg import (
+    NonFiniteError,
+    alongside,
+    frobenius_norm,
+    low_rank_update,
+    product_into,
+    slice_cols,
+    slice_rows,
+)
 from .model import (
     factored_logits,
     factored_loss_and_grads,
@@ -763,9 +771,9 @@ def _gradient_heterogeneity(
 
 
 def _distance(scratch: np.ndarray, other: np.ndarray) -> float:
-    """Frobenius norm of ``scratch - other``, formed in ``scratch``'s buffer."""
+    """Frobenius norm of ``scratch - other``, formed and squared in ``scratch``'s buffer."""
     scratch -= other
-    return float(np.linalg.norm(scratch))
+    return frobenius_norm(scratch, out=scratch)
 
 
 def _aggregate(server: ServerState, config: FederationConfig, updates: list[ClientUpdate]) -> float:

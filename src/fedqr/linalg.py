@@ -198,8 +198,17 @@ def low_rank_update(base: np.ndarray, b: np.ndarray, a: np.ndarray, scale: float
     return product_into(out, b, a, shift)
 
 
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.square(m, dtype=np.float64))))
+def frobenius_norm(m: np.ndarray, out: np.ndarray | None = None) -> float:
+    """sqrt(sum(x**2)) over ``m``: square, numpy's pairwise sum, square root.
+
+    The package's one sum-of-squares norm. The sum runs on the calling thread
+    in numpy's fixed pairwise order, so its bits do not depend on the BLAS
+    thread count. A BLAS dot product's would: OpenBLAS splits that sum
+    across its threads. ``out`` is the caller's buffer for the squares, of
+    ``m``'s shape and float64; it may be ``m`` itself, which is then
+    overwritten. Without ``out`` the squares go to a new array.
+    """
+    return float(np.sqrt(np.sum(np.square(m, out=out, dtype=np.float64))))
 
 
 def slice_cols(m: np.ndarray, first_n: int) -> np.ndarray:

@@ -177,7 +177,7 @@ def gradient_heterogeneity_reference(server, sampled):
     weights = np.asarray(counts, dtype=np.float64)
     weights /= weights.sum()
     mean_grad = sum(w * g for w, g in zip(weights, grads))
-    return float(np.mean([np.linalg.norm(g - mean_grad) for g in grads]))
+    return float(np.mean([frobenius_norm(g - mean_grad) for g in grads]))
 
 
 def signed_zeros(rng, array, share=0.3):
@@ -574,6 +574,6 @@ class TestClientPathBitIdentical:
         # every client is sampled, so the round's drift covers all of them
         server, metrics = run_round(server, clients, config)
         drift = float(
-            np.mean([np.linalg.norm(c.effective_weight() - server.global_model) for c in clients])
+            np.mean([frobenius_norm(c.effective_weight() - server.global_model) for c in clients])
         )
         assert metrics.drift == drift

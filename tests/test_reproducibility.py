@@ -5,9 +5,9 @@ like: after odd-sized arrays were allocated and freed, with inputs whose
 data starts 8 bytes off their allocation, and with client training and the
 held-out forward on run_round's helper thread, whose arrays come from another
 malloc arena. A kernel whose rounding followed the alignment of its operands
-would show up here as a differing record. Set-up's hidden maps, cut across
-two threads at the benchmark's wide layer, are compared across BLAS thread
-counts in fresh processes.
+would show up here as a differing record. At the benchmark's wide layer,
+set-up's hidden maps (cut across two threads) and every round's record are
+compared across BLAS thread counts in fresh processes.
 """
 
 import json
@@ -96,35 +96,45 @@ def test_records_survive_heap_perturbation_and_shifted_inputs(monkeypatch):
     assert_same_records(threaded, first, "perturbed heap, helper thread")
 
 
-# maps a spec's set-up in a fresh process and prints a digest of the pooled
-# training and held-out features
-SET_UP_FEATURES = """
-import hashlib, sys
+# sets up a spec in a fresh process and prints a digest of the pooled training
+# and held-out features, then runs its rounds and prints a digest of the
+# metrics records
+SET_UP_AND_ROUNDS = """
+import hashlib, json, sys
 from fedqr.config import parse_config
-from fedqr.federation import init_federation
+from fedqr.federation import init_federation, run_round
 
 spec = parse_config(sys.stdin.read())
 train, heldout = spec.build_datasets()
-server, _ = init_federation(spec.federation, train, eval_dataset=heldout)
+server, clients = init_federation(spec.federation, train, eval_dataset=heldout)
 digest = hashlib.sha256()
 for features in (server.pooled_train[0], server.heldout[0]):
     digest.update(features.tobytes())
+print(digest.hexdigest())
+digest = hashlib.sha256()
+for _ in range(spec.federation.rounds):
+    server, metrics = run_round(server, clients, spec.federation)
+    digest.update(json.dumps(metrics.to_dict()).encode())
 print(digest.hexdigest())
 """
 
 
 def test_set_up_features_do_not_depend_on_the_blas_thread_count():
-    # both hidden maps are cut across two threads at this size; each thread's
-    # gemm may itself run on 1 or 2 BLAS threads
+    # both hidden maps are cut across two threads at this size, and each
+    # thread's gemm may itself run on 1 or 2 BLAS threads. The 10 rounds'
+    # records follow too: drift and grad_heterogeneity sum the squares of
+    # 1024 x 128 arrays, which a BLAS dot product would split across threads
     src = str(pathlib.Path(fedqr.__file__).resolve().parent.parent)
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
-            [sys.executable, "-c", SET_UP_FEATURES], input=serialize_spec(wide_hetero_spec()),
+            [sys.executable, "-c", SET_UP_AND_ROUNDS], input=serialize_spec(wide_hetero_spec()),
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        digests.append(child.stdout.strip())
-    assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+        digests.append(child.stdout.split())
+    features, records = zip(*digests)
+    assert [len(d) for d in digests[0]] == [64, 64]
+    assert features[0] == features[1], "set-up features"
+    assert records[0] == records[1], "metrics records"
