@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``linalg``      dense kernels: thin and leading-block QR, norms, slices,
-                  subspace residuals
+* ``linalg``      dense kernels: thin and leading-block QR, norms, the
+                  leading-block sum, slices, subspace residuals
 * ``adapter``     low-rank adapter pairs, the frozen base weight (``BaseWeight``),
                   QR-orthonormal initialization
 * ``model``       softmax-head functions on plain arrays: the factored head

@@ -25,6 +25,7 @@ from .linalg import (
     ShapeError,
     frobenius_norm,
     leading_qr,
+    leading_sum,
     low_rank_update,
     product_into,
     slice_cols,
@@ -174,8 +175,9 @@ def factor_means(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample-weighted factor means (sum p_k B_k, sum p_k s_k A_k).
 
-    Each client's factors are zero-padded to ``rank`` (default: the largest
-    client rank) and accumulated in ascending client id.
+    Each client's factors go into the leading block of the rank-``rank``
+    means (default: the largest client rank), in ascending client id
+    (``linalg.leading_sum``).
     """
     ordered, weights = _sorted_updates(updates)
     max_rank = max(u.adapter.rank for u in ordered)
@@ -184,12 +186,9 @@ def factor_means(
     if rank < max_rank:
         raise RankError(f"target rank {rank} below largest client rank {max_rank}")
     d, k = ordered[0].adapter.shape
-    b_mean = np.zeros((d, rank))
-    a_mean = np.zeros((rank, k))
-    for u, w in zip(ordered, weights):
-        r = u.adapter.rank
-        b_mean[:, :r] += w * u.adapter.b_factor
-        a_mean[:r, :] += w * u.adapter.scaling * u.adapter.a_factor
+    b_mean = leading_sum((d, rank), [u.adapter.b_factor for u in ordered], weights)
+    a_weights = [w * u.adapter.scaling for u, w in zip(ordered, weights)]
+    a_mean = leading_sum((rank, k), [u.adapter.a_factor for u in ordered], a_weights)
     return b_mean, a_mean
 
 

@@ -63,6 +63,7 @@ from .linalg import (
     NonFiniteError,
     alongside,
     frobenius_norm,
+    leading_sum,
     low_rank_update,
     product_into,
     slice_cols,
@@ -623,18 +624,10 @@ def run_round(
     with _quiet_overflow():
         updates, grad_het = _train_and_diagnose(server, sampled, config, t, threaded)
         try:
-            truncation_error = _aggregate(server, config, updates)
+            truncation_error, bytes_up = _aggregate(server, sampled, config, updates)
         except NonFiniteError as exc:
             raise RoundAbortedError(t, None, f"nonfinite aggregate: {exc}") from exc
-        weights = np.array([u.sample_count for u in updates], dtype=np.float64)
-        weights /= weights.sum()
-        server.global_bias = sum(w * c.bias for c, w in zip(sampled, weights))
         metrics = _evaluate(server, sampled, config, t, threaded, truncation_error, grad_het)
-    bytes_up = BYTES_PER_FLOAT * sum(
-        u.adapter.b_factor.size + u.adapter.a_factor.size
-        + sum(d.size for d in u.control_deltas or ())
-        for u in updates
-    )
     server.round_index = t
     return server, RoundMetrics(round=t, **metrics, bytes_down=bytes_down, bytes_up=bytes_up)
 
@@ -762,11 +755,7 @@ def _gradient_heterogeneity(
         counts.append(client.n_samples)
     weights = np.asarray(counts, dtype=np.float64)
     weights /= weights.sum()
-    # the weighted sum starts from +0.0, as Python's sum() of the terms does
-    mean_grad = np.zeros_like(grads[0])
-    term = np.empty_like(mean_grad)
-    for w, g in zip(weights, grads):
-        mean_grad += np.multiply(g, w, out=term)
+    mean_grad = leading_sum(grads[0].shape, grads, weights)
     return float(np.mean([_distance(g, mean_grad) for g in grads]))
 
 
@@ -776,8 +765,12 @@ def _distance(scratch: np.ndarray, other: np.ndarray) -> float:
     return frobenius_norm(scratch, out=scratch)
 
 
-def _aggregate(server: ServerState, config: FederationConfig, updates: list[ClientUpdate]) -> float:
-    """Server fusion step; returns the truncation error actually incurred."""
+def _aggregate(server, sampled, config, updates) -> tuple[float, int]:
+    """The server step: fusion, the control and bias folds, and the global model.
+
+    Every client-to-server fold is a ``linalg.leading_sum``. Returns the
+    truncation error actually incurred and the round's ``bytes_up``.
+    """
     traits = METHOD_TRAITS[config.method]
     truncation_error = 0.0  # the baselines' global updates are not truncated
     if traits.fusion == "mean":
@@ -797,22 +790,25 @@ def _aggregate(server: ServerState, config: FederationConfig, updates: list[Clie
         else:
             server.broadcast_factors = (b_stack, a_stack)
     if traits.controls:
-        _fold_control_deltas(server, config, updates)
+        controls = server.global_controls
+        server.global_controls = ControlVariates(
+            c_a=server_control_aggregate(controls.c_a, [u.control_deltas[0] for u in updates]),
+            c_b=server_control_aggregate(controls.c_b, [u.control_deltas[1] for u in updates]),
+            r_ref=config.server_rank,
+        )
     b_global, a_global = server.broadcast_factors
     server.global_model = low_rank_update(
         server.base_frozen, b_global, a_global, config.global_scale
     )
-    return truncation_error
-
-
-def _fold_control_deltas(server, config, updates):
-    # each client's rank-r deltas go into the leading block of the stored controls
-    controls = server.global_controls
-    server.global_controls = ControlVariates(
-        c_a=server_control_aggregate(controls.c_a, [u.control_deltas[0] for u in updates]),
-        c_b=server_control_aggregate(controls.c_b, [u.control_deltas[1] for u in updates]),
-        r_ref=config.server_rank,
+    weights = np.array([u.sample_count for u in updates], dtype=np.float64)
+    weights /= weights.sum()
+    server.global_bias = leading_sum(server.global_bias.shape, [c.bias for c in sampled], weights)
+    bytes_up = BYTES_PER_FLOAT * sum(
+        u.adapter.b_factor.size + u.adapter.a_factor.size
+        + sum(d.size for d in u.control_deltas or ())
+        for u in updates
     )
+    return truncation_error, bytes_up
 
 
 def _frozen_logits(server: ServerState) -> tuple[np.ndarray, np.ndarray | None]:
@@ -867,10 +863,7 @@ def run_federation(
     eval_dataset: Dataset | None = None,
 ) -> list[RoundMetrics]:
     """Run a full federation; fully deterministic given the config seeds."""
-    plan = dirichlet_partition(
-        dataset, config.n_clients, config.dirichlet_alpha, config.partition_seed
-    )
-    server, clients = init_federation(config, dataset, plan, eval_dataset)
+    server, clients = init_federation(config, dataset, eval_dataset=eval_dataset)
     metrics = []
     for _ in range(config.rounds):
         server, round_metrics = run_round(server, clients, config)

@@ -211,6 +211,31 @@ def frobenius_norm(m: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(np.sqrt(np.sum(np.square(m, out=out, dtype=np.float64))))
 
 
+def leading_sum(shape: tuple[int, ...], terms, weights=None) -> np.ndarray:
+    """New array of ``shape``: the sum of ``terms``, each added into its leading block.
+
+    The package's one fold of client arrays into a server array: a rank-r
+    client's factor or control delta goes into the leading ``[:r, :c]``
+    block of the rank-r_s total. The total starts from zeros and adds the
+    terms in order. That is bit-identical to summing the terms zero-padded to
+    ``shape``, because the total starts at +0.0 and so never holds -0.0, the
+    one value a skipped ``+ 0.0`` would change. With ``weights``, each term
+    is first multiplied by its weight into one scratch array of ``shape``;
+    without them no scratch is allocated. A term that does not fit in
+    ``shape`` raises ``ShapeError``.
+    """
+    total = np.zeros(shape)
+    scratch = None if weights is None else np.empty(shape)
+    for i, term in enumerate(terms):
+        if term.ndim != total.ndim or any(n > m for n, m in zip(term.shape, shape)):
+            raise ShapeError(f"term {term.shape} does not fit in {shape}")
+        block = tuple(slice(None, n) for n in term.shape)
+        if scratch is not None:
+            term = np.multiply(term, weights[i], out=scratch[block])
+        total[block] += term
+    return total
+
+
 def slice_cols(m: np.ndarray, first_n: int) -> np.ndarray:
     """Copy of the leading ``first_n`` columns; the source is untouched."""
     if not 0 < first_n <= m.shape[1]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankError, ShapeError
+from .linalg import ShapeError, leading_sum, slice_cols, slice_rows
 
 # oracle kept importable from here only because benchmarks/workloads.py calls
 # and traces it in this module
@@ -40,24 +40,9 @@ class AdamWState:
     weight_decay: float = 0.0
 
 
-def fresh_adamw_state(
-    shape: tuple[int, ...],
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> AdamWState:
-    return AdamWState(
-        m=np.zeros(shape),
-        v=np.zeros(shape),
-        step=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
-    )
+def fresh_adamw_state(shape: tuple[int, ...], **hyperparameters) -> AdamWState:
+    """Zero moments of ``shape`` at step 0; ``hyperparameters`` are ``AdamWState``'s fields."""
+    return AdamWState(np.zeros(shape), np.zeros(shape), **hyperparameters)
 
 
 def adamw_step(
@@ -139,28 +124,15 @@ def local_control_update(
 def server_control_aggregate(global_c: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
     """Fold the unweighted mean of client deltas into the global control.
 
-    Each delta fits inside ``global_c`` and is added into its leading block:
-    a rank-r A-side delta (r x k) into the leading rows of c_A, a B-side
-    delta (d x r) into the leading columns of c_B. That is bit-identical to
-    summing the deltas zero-padded to ``global_c``'s shape, because the total
-    starts at +0.0 and so never holds -0.0, the one value a skipped ``+ 0.0``
-    would change. Returns a new array, summed in place in client order;
-    ``global_c`` is left unchanged.
+    Each delta fits inside ``global_c`` and is added into its leading block
+    (``linalg.leading_sum``): a rank-r A-side delta (r x k) into the leading
+    rows of c_A, a B-side delta (d x r) into the leading columns of c_B.
+    Returns a new array, summed in place in client order; ``global_c`` is
+    left unchanged.
     """
     if not deltas:
         raise ValueError("cannot aggregate an empty list of control deltas")
-    rows, cols = global_c.shape
-    for delta in deltas:
-        if delta.ndim != 2 or delta.shape[0] > rows or delta.shape[1] > cols:
-            raise ShapeError(
-                f"delta {delta.shape} does not fit in global control {global_c.shape}"
-            )
-    total = np.zeros_like(global_c)
-    for delta in deltas:
-        if delta.shape == total.shape:
-            total += delta
-        else:
-            total[: delta.shape[0], : delta.shape[1]] += delta
+    total = leading_sum(global_c.shape, deltas)
     total /= len(deltas)
     total += global_c
     return total
@@ -170,6 +142,4 @@ def slice_controls(
     controls: ControlVariates, client_rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leading-slice broadcast of stored controls down to a client rank."""
-    if client_rank > controls.r_ref:
-        raise RankError(f"client rank {client_rank} exceeds stored rank {controls.r_ref}")
-    return controls.c_a[:client_rank, :].copy(), controls.c_b[:, :client_rank].copy()
+    return slice_rows(controls.c_a, client_rank), slice_cols(controls.c_b, client_rank)

@@ -783,10 +783,7 @@ SUITES: dict[str, list] = {
     "convergence": [check_convergence_iid],
     "communication": [check_communication_accounting],
 }
-SUITES["all"] = [check for name in
-                 ("exactness", "bias", "subspace", "gradients",
-                  "equivalence", "drift", "convergence", "communication")
-                 for check in SUITES[name]]
+SUITES["all"] = [check for checks in SUITES.values() for check in checks]
 
 
 def run_verify(suite_name: str) -> list[CheckResult]:

@@ -1,9 +1,10 @@
 """The in-place kernels against the plain expressions they evaluate.
 
 Server step: ``leading_qr``, ``qr_compress``, ``apply_global``,
-``qr_orthogonal_init`` and ``server_control_aggregate`` compute in
-preallocated or reused buffers, and the last folds rank-r control deltas
-into the leading block without padding them. Client path: ``adamw_step``
+``qr_orthogonal_init``, ``leading_sum``, ``factor_means`` and
+``server_control_aggregate`` compute in preallocated or reused buffers, and
+the last three fold rank-r client arrays into the leading block without
+padding them. Client path: ``adamw_step``
 with ``out=``, the packed [B | A | bias] client step, the factored head and
 ``_gradient_heterogeneity`` write in place, ``dirichlet_partition`` assigns
 from one sort of the labels, and ``init_federation`` puts the mapped
@@ -14,15 +15,22 @@ bit, not to a tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedqr import federation
 from fedqr.adapter import LoraAdapter, qr_orthogonal_init
-from fedqr.aggregation import ClientUpdate, apply_global, concat_reconstruct, qr_compress
+from fedqr.aggregation import (
+    ClientUpdate,
+    apply_global,
+    concat_reconstruct,
+    factor_means,
+    qr_compress,
+)
 from fedqr.data import Dataset, dirichlet_partition, generate_blobs, permute_rows
 from fedqr.federation import FederationConfig, init_federation, run_round
-from fedqr.linalg import frobenius_norm, leading_qr, thin_qr
+from fedqr.linalg import ShapeError, frobenius_norm, leading_qr, leading_sum, thin_qr
 from fedqr.model import factored_logits, factored_loss_and_grads
 from fedqr.optim import adamw_step, fresh_adamw_state, server_control_aggregate
 from fedqr.oracle import pad_delta
@@ -45,6 +53,31 @@ def server_control_aggregate_reference(global_c, deltas):
     for delta in deltas:
         total = total + delta
     return global_c + total / len(deltas)
+
+
+def leading_sum_reference(shape, terms, weights=None):
+    """Each term zero-padded to ``shape``, weighted, then summed from +0.0 with fresh temporaries."""
+    total = np.zeros(shape)
+    for i, term in enumerate(terms):
+        padded = np.zeros(shape)
+        padded[tuple(slice(None, n) for n in term.shape)] = term
+        total = total + (padded if weights is None else weights[i] * padded)
+    return total
+
+
+def factor_means_reference(updates, rank):
+    """The factor means' loop as written before ``leading_sum``."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    counts = np.array([u.sample_count for u in ordered], dtype=np.float64)
+    weights = counts / counts.sum()
+    d, k = ordered[0].adapter.shape
+    b_mean = np.zeros((d, rank))
+    a_mean = np.zeros((rank, k))
+    for u, w in zip(ordered, weights):
+        r = u.adapter.rank
+        b_mean[:, :r] += w * u.adapter.b_factor
+        a_mean[:r, :] += w * u.adapter.scaling * u.adapter.a_factor
+    return b_mean, a_mean
 
 
 def adamw_step_reference(param, grad, state):
@@ -361,6 +394,70 @@ class TestBitIdentical:
             got = server_control_aggregate(global_c, deltas)
             assert same_bits(got, server_control_aggregate_reference(before, padded))
             assert same_bits(global_c, before)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        data=st.data(),
+        weighted=st.booleans(),
+        zeros=st.sampled_from(["none", "signed", "all"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_leading_sum(self, shape, data, weighted, zeros, seed):
+        # full-shape and leading-block terms, against their zero-padded sum
+        rng = np.random.default_rng(seed)
+        n_terms = data.draw(st.integers(1, 6))
+        shapes = [
+            tuple(data.draw(st.sampled_from([n, int(rng.integers(1, n + 1))])) for n in shape)
+            for _ in range(n_terms)
+        ]
+        terms = [rng.standard_normal(term_shape) for term_shape in shapes]
+        if zeros == "signed":
+            terms = [signed_zeros(rng, term) for term in terms]
+        elif zeros == "all":
+            terms = [np.full(term_shape, -0.0) for term_shape in shapes]
+        weights = None
+        if weighted:
+            weights = rng.uniform(-2.0, 2.0, size=n_terms)
+            weights[rng.random(n_terms) < 0.2] = rng.choice([-0.0, 0.0, 1.0])
+        before = [term.copy() for term in terms]
+        got = leading_sum(shape, terms, weights)
+        assert same_bits(got, leading_sum_reference(shape, terms, weights))
+        assert all(same_bits(term, old) for term, old in zip(terms, before))
+
+    def test_leading_sum_rejects_a_term_that_does_not_fit(self):
+        assert same_bits(leading_sum((3, 4), []), np.zeros((3, 4)))
+        for shape in ((4, 4), (3, 5), (4,), (1, 2, 4)):
+            for weights in (None, [1.0, 1.0]):
+                with pytest.raises(ShapeError):
+                    leading_sum((3, 4), [np.ones((2, 4)), np.zeros(shape)], weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+        extra=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2)),
+        zeros=st.sampled_from(["none", "signed"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_factor_means(self, ranks, extra, zeros, seed):
+        # mixed ranks in shuffled arrival order, scalings other than 1
+        rng = np.random.default_rng(seed)
+        d, k = max(ranks) + extra[0], max(ranks) + extra[1]
+        updates = []
+        for cid in rng.permutation(len(ranks)):
+            r = ranks[cid]
+            b, a = rng.standard_normal((d, r)), rng.standard_normal((r, k))
+            if zeros == "signed":
+                signed_zeros(rng, b)
+                signed_zeros(rng, a)
+            scaling = float(rng.choice([16.0 / r, rng.uniform(0.25, 4.0)]))
+            adapter = LoraAdapter(b, a, r, scaling)
+            updates.append(ClientUpdate(int(cid), adapter, int(rng.integers(1, 200))))
+        rank = max(ranks) + extra[2]
+        b_mean, a_mean = factor_means(updates, rank)
+        want_b, want_a = factor_means_reference(updates, rank)
+        assert same_bits(b_mean, want_b) and same_bits(a_mean, want_a)
 
 
 class TestClientPathBitIdentical:
