@@ -78,8 +78,17 @@ def _sorted_updates(updates: list[ClientUpdate]) -> tuple[list[ClientUpdate], np
             raise ShapeError(
                 f"client {u.client_id} update has shape {u.adapter.shape}, expected {shape}"
             )
-    counts = np.array([u.sample_count for u in ordered], dtype=np.float64)
-    return ordered, counts / counts.sum()
+    return ordered, sample_weights([u.sample_count for u in ordered])
+
+
+def sample_weights(counts) -> np.ndarray:
+    """The FedAvg sample weights p_k = n_k / sum(n), in the order of ``counts``.
+
+    The package's one statement of p_k. Integer counts (total below 2**53) sum
+    exactly in any order, so permuted counts give the same bits, permuted.
+    """
+    counts = np.array(counts, dtype=np.float64)
+    return counts / counts.sum()
 
 
 def concat_reconstruct(updates: list[ClientUpdate]) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -32,8 +33,13 @@ def run_experiment(spec: ExperimentSpec) -> int:
     Returns a process exit code: 0 on success, 1 when a round aborted (a
     diagnostic record is written in place of further rounds), 2 when set-up
     finds the config does not fit the data, or when the output file cannot
-    be written (one ``error:`` line, no traceback).
+    be written (one ``error:`` line, no traceback). An output path that is a
+    directory, or whose directory does not exist, is found before set-up.
     """
+    out = spec.output_path
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        print(f"error: cannot write {out}: not a file in an existing directory", file=sys.stderr)
+        return 2
     train, heldout = spec.build_datasets()
     try:
         try:

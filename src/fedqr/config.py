@@ -90,109 +90,39 @@ def experiment_seeds(seed: int) -> dict[str, int]:
     return {"data_seed": seed, "partition_seed": 100 + seed, "train_seed": 200 + seed}
 
 
-def _default_spec() -> ExperimentSpec:
+# drift-study preset: softmax regression, 8 clients, Dir(0.3), two local
+# epochs, thirty rounds; hyperparameters pinned by the committed oracle run.
+# canonical-iid is the same at alpha 1e6
+_CANONICAL = (
+    {"local_epochs": 2, "batch_size": 16, "rounds": 30, "lr": 0.015, "lora_scaling": 1.0,
+     **experiment_seeds(1)},
+    {"samples_per_class": 50, "spread": 0.25, "eval_samples_per_class": 125},
+)
+
+# name -> (the FederationConfig fields, the DataParams fields) the preset sets;
+# every other field keeps its dataclass default
+PRESETS: dict[str, tuple[dict, dict]] = {
     # appendix-style defaults: homogeneous rank 4, one local epoch, five rounds
-    return ExperimentSpec(
-        federation=FederationConfig(
-            n_clients=8,
-            client_ranks=(4,) * 8,
-            server_rank=4,
-            method="ilora",
-            local_epochs=1,
-            rounds=5,
-            lr=1e-4,
-        )
-    )
-
-
-def _paper_spec() -> ExperimentSpec:
+    "default": ({}, {}),
     # main mixed-rank setting: client rank 4 under a rank-6 server budget,
     # LoRA alpha 16, damped global updates
-    spec = _default_spec()
-    spec.federation = replace(
-        spec.federation,
-        server_rank=6,
-        lora_alpha=16.0,
-        lora_scaling=None,
-        global_scale=0.5,
-    )
-    spec.preset = "paper"
-    return spec
-
-
-def _paper_hetero_spec() -> ExperimentSpec:
+    "paper": ({"server_rank": 6, "global_scale": 0.5}, {}),
     # rank-spread setting: client ranks cycle through 2/8/16; pair with any
     # alpha from PAPER_HETERO_ALPHA_GRID (default is the grid midpoint)
-    ranks = tuple([2, 8, 16][i % 3] for i in range(9))
-    return ExperimentSpec(
-        federation=FederationConfig(
-            n_clients=9,
-            client_ranks=ranks,
-            server_rank=16,
-            method="ilora",
-            local_epochs=1,
-            rounds=5,
-            lr=1e-4,
-            dirichlet_alpha=0.5,
-        ),
-        data=DataParams(classes=16, samples_per_class=30, input_dim=24, spread=0.35),
-        preset="paper-hetero",
-    )
-
-
-def _canonical_noniid_spec() -> ExperimentSpec:
-    # drift-study preset: softmax regression, 8 clients, Dir(0.3), two local
-    # epochs, thirty rounds; hyperparameters pinned by the committed oracle run
-    return ExperimentSpec(
-        federation=FederationConfig(
-            n_clients=8,
-            client_ranks=(4,) * 8,
-            server_rank=4,
-            method="ilora",
-            participation=1.0,
-            local_epochs=2,
-            batch_size=16,
-            rounds=30,
-            lr=0.015,
-            dirichlet_alpha=0.3,
-            lora_scaling=1.0,
-            data_seed=1,
-            partition_seed=101,
-            train_seed=201,
-        ),
-        data=DataParams(
-            classes=8,
-            samples_per_class=50,
-            input_dim=16,
-            spread=0.25,
-            eval_samples_per_class=125,
-        ),
-        preset="canonical-noniid",
-    )
-
-
-def _canonical_iid_spec() -> ExperimentSpec:
-    spec = _canonical_noniid_spec()
-    spec.federation = replace(spec.federation, dirichlet_alpha=1e6)
-    spec.preset = "canonical-iid"
-    return spec
-
-
-PRESETS = {
-    "default": _default_spec,
-    "paper": _paper_spec,
-    "paper-hetero": _paper_hetero_spec,
-    "canonical-noniid": _canonical_noniid_spec,
-    "canonical-iid": _canonical_iid_spec,
+    "paper-hetero": (
+        {"n_clients": 9, "client_ranks": (2, 8, 16) * 3, "server_rank": 16, "dirichlet_alpha": 0.5},
+        {"classes": 16, "samples_per_class": 30, "input_dim": 24},
+    ),
+    "canonical-noniid": _CANONICAL,
+    "canonical-iid": ({**_CANONICAL[0], "dirichlet_alpha": 1e6}, _CANONICAL[1]),
 }
 
 
 def preset_spec(name: str) -> ExperimentSpec:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    spec = PRESETS[name]()
-    spec.preset = name
-    return spec
+    fed, data = PRESETS[name]
+    return ExperimentSpec(FederationConfig(**fed), DataParams(**data), preset=name)
 
 
 # --- key-value schema -------------------------------------------------------

@@ -56,6 +56,7 @@ from .aggregation import (
     factor_means,
     personalize,
     qr_compress,
+    sample_weights,
     stack_product,
 )
 from .data import Dataset, PartitionPlan, dirichlet_partition, permute_rows
@@ -537,7 +538,7 @@ def _train_client(
     server: ServerState,
     config: FederationConfig,
     round_index: int,
-) -> ClientUpdate:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Local epochs of (optionally drift-corrected) AdamW on one shard.
 
     Every batch runs the factored head on this client's row view of the
@@ -547,6 +548,8 @@ def _train_client(
     once per epoch because the local controls change only between epochs,
     and one in-place AdamW step updates all of ``client.params``. A nonfinite
     loss, gradient or optimizer moment aborts the round for this client.
+    Returns the control deltas (c_A, c_B), or None without controls; the
+    trained factors stay in ``client.adapter``, which the server reads.
     """
     d, k = client.base.frozen.shape
     global_ca, global_cb = slice_controls(server.global_controls, client.rank)
@@ -602,13 +605,7 @@ def _train_client(
                 round_delta_a += delta_a
                 round_delta_b += delta_b
 
-    deltas = (round_delta_a, round_delta_b) if track_controls else None
-    return ClientUpdate(
-        client_id=client.client_id,
-        adapter=adapter.copy(),
-        sample_count=client.n_samples,
-        control_deltas=deltas,
-    )
+    return (round_delta_a, round_delta_b) if track_controls else None
 
 
 def run_round(
@@ -622,9 +619,9 @@ def run_round(
     sampled = _sample(clients, config, t)
     bytes_down = _broadcast(server, sampled, config)
     with _quiet_overflow():
-        updates, grad_het = _train_and_diagnose(server, sampled, config, t, threaded)
+        deltas, grad_het = _train_and_diagnose(server, sampled, config, t, threaded)
         try:
-            truncation_error, bytes_up = _aggregate(server, sampled, config, updates)
+            truncation_error, bytes_up = _aggregate(server, sampled, config, deltas)
         except NonFiniteError as exc:
             raise RoundAbortedError(t, None, f"nonfinite aggregate: {exc}") from exc
         metrics = _evaluate(server, sampled, config, t, threaded, truncation_error, grad_het)
@@ -672,7 +669,7 @@ def _broadcast(server, sampled, config) -> int:
 
 
 def _train_and_diagnose(server, sampled, config, round_index, threaded) -> tuple[list, float]:
-    """Pair 1: the sampled clients' updates and the round-start ``grad_heterogeneity``.
+    """Pair 1: the sampled clients' control deltas and the round-start ``grad_heterogeneity``.
 
     ``threaded``, the clients train on the helper while the calling thread
     runs the diagnostic on copies of the broadcast B, A and bias, which
@@ -740,7 +737,6 @@ def _gradient_heterogeneity(
     """
     base_logits = _frozen_logits(server)[0]
     grads = []
-    counts = []
     for client, (b_factor, a_factor, bias) in zip(sampled, factors):
         logits = factored_logits(
             base_logits[client.rows],
@@ -752,9 +748,7 @@ def _gradient_heterogeneity(
         )
         _, delta = logit_loss_and_grad(logits, client.labels)
         grads.append(client.features.T @ delta)
-        counts.append(client.n_samples)
-    weights = np.asarray(counts, dtype=np.float64)
-    weights /= weights.sum()
+    weights = sample_weights([c.n_samples for c in sampled])
     mean_grad = leading_sum(grads[0].shape, grads, weights)
     return float(np.mean([_distance(g, mean_grad) for g in grads]))
 
@@ -765,12 +759,18 @@ def _distance(scratch: np.ndarray, other: np.ndarray) -> float:
     return frobenius_norm(scratch, out=scratch)
 
 
-def _aggregate(server, sampled, config, updates) -> tuple[float, int]:
+def _aggregate(server, sampled, config, deltas) -> tuple[float, int]:
     """The server step: fusion, the control and bias folds, and the global model.
 
-    Every client-to-server fold is a ``linalg.leading_sum``. Returns the
-    truncation error actually incurred and the round's ``bytes_up``.
+    The uploads are the sampled clients' own adapters, uncopied, with their
+    ``deltas``: nothing moves a client's factors before the next
+    ``_broadcast``, and the server keeps no reference to them. Every
+    client-to-server fold is a ``linalg.leading_sum``. Returns the truncation
+    error actually incurred and the round's ``bytes_up``.
     """
+    updates = [
+        ClientUpdate(c.client_id, c.adapter, c.n_samples, d) for c, d in zip(sampled, deltas)
+    ]
     traits = METHOD_TRAITS[config.method]
     truncation_error = 0.0  # the baselines' global updates are not truncated
     if traits.fusion == "mean":
@@ -800,8 +800,7 @@ def _aggregate(server, sampled, config, updates) -> tuple[float, int]:
     server.global_model = low_rank_update(
         server.base_frozen, b_global, a_global, config.global_scale
     )
-    weights = np.array([u.sample_count for u in updates], dtype=np.float64)
-    weights /= weights.sum()
+    weights = sample_weights([c.n_samples for c in sampled])
     server.global_bias = leading_sum(server.global_bias.shape, [c.bias for c in sampled], weights)
     bytes_up = BYTES_PER_FLOAT * sum(
         u.adapter.b_factor.size + u.adapter.a_factor.size

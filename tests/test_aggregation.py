@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedqr import aggregation, linalg
 from fedqr.adapter import LoraAdapter
@@ -14,6 +16,7 @@ from fedqr.aggregation import (
     factor_means,
     personalize,
     qr_compress,
+    sample_weights,
 )
 from fedqr.linalg import RankError, ShapeError, frobenius_norm, subspace_residual, thin_qr
 
@@ -41,6 +44,20 @@ def weighted_sum(updates):
         w * u.adapter.scaling * (u.adapter.b_factor @ u.adapter.a_factor)
         for u, w in zip(updates, weights)
     )
+
+
+class TestSampleWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=32), data=st.data())
+    def test_bits_of_both_division_forms_and_of_any_order(self, counts, data):
+        got = sample_weights(counts)
+        as_floats = np.array(counts, dtype=np.float64)
+        in_place = np.array(counts, dtype=np.float64)
+        in_place /= in_place.sum()
+        assert got.dtype == np.float64
+        assert got.tobytes() == (as_floats / as_floats.sum()).tobytes() == in_place.tobytes()
+        order = data.draw(st.permutations(range(len(counts))))
+        assert sample_weights([counts[i] for i in order]).tobytes() == got[order].tobytes()
 
 
 class TestConcatReconstruct:

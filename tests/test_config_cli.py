@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -20,7 +21,7 @@ from fedqr.config import (
     read_metrics,
     serialize_spec,
 )
-from fedqr.federation import ConfigError, FederationConfig, RoundAbortedError
+from fedqr.federation import ConfigError, FederationConfig, RoundAbortedError, run_federation
 
 
 class TestParseConfig:
@@ -301,6 +302,15 @@ class TestFieldRanges:
         assert not out.exists()
 
 
+PRESET_TEXT_SHA256 = {
+    "default": "91138d4d9a119e2eee975ab63fc7e44dbf09ffb1b45153267135041497318389",
+    "paper": "e4b6bddd636d20fe835512c008ee0160e6cfd366b89b01fe2b4c9ffd2d3ec9c8",
+    "paper-hetero": "edcd181992c705aa66d7f38903dbc3d665baafebccaa7d69ab53f2ec8996fbc9",
+    "canonical-noniid": "49a78fbe2812d305ea74a11bb45094f9e445f150e6e589b1bcfcbe77874c1a9e",
+    "canonical-iid": "55c81c518bb3cdafbf3127b309212fb1ee1fb2c74ec740ee2b50c4e647c7e6d5",
+}
+
+
 class TestPresets:
     def test_paper_hetero_rank_spread(self):
         spec = preset_spec("paper-hetero")
@@ -326,6 +336,20 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_spec("missing")
+
+    @pytest.mark.parametrize("name", list(config.PRESETS))
+    def test_preset_serialization_is_pinned(self, name):
+        # sha256 of each preset's full text: a change to a dataclass default
+        # that a preset relies on moves its digest
+        text = serialize_spec(preset_spec(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESET_TEXT_SHA256[name]
+
+    @pytest.mark.parametrize("name", list(config.PRESETS))
+    def test_presets_list_only_the_fields_they_change(self, name):
+        for fields_, cls in zip(config.PRESETS[name], (FederationConfig, DataParams)):
+            default = cls()
+            for field_name, value in fields_.items():
+                assert value != getattr(default, field_name), (name, field_name)
 
 
 class TestEnvOverrides:
@@ -379,6 +403,20 @@ class TestEnvOverrides:
             "FEDQR_FEDERATION__CLIENT_RANKS, FEDQR_FEDERATION__ROUNDS: "
             "2 client ranks for 8 clients"
         )
+
+
+def record_runs(monkeypatch, aborts: bool) -> list:
+    """Route the CLI's run_federation through a recorder; ``aborts`` makes it abort."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        if aborts:
+            raise RoundAbortedError(2, 1, "loss=nan")
+        return run_federation(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_federation", recorded)
+    return calls
 
 
 def fast_spec(tmp_path, rounds=2):
@@ -512,12 +550,9 @@ class TestCliMain:
 
     @pytest.mark.parametrize("aborts", [False, True])
     def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys, aborts):
-        # both the metrics file and the abort record go to --out
-        if aborts:
-            def explode(*args, **kwargs):
-                raise RoundAbortedError(2, 1, "loss=nan")
-
-            monkeypatch.setattr(cli, "run_federation", explode)
+        # both the metrics file and the abort record go to --out; a missing
+        # directory is found before set-up, so no round runs
+        calls = record_runs(monkeypatch, aborts)
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(serialize_spec(fast_spec(tmp_path)))
         out_path = tmp_path / "missing" / "m.jsonl"
@@ -526,6 +561,30 @@ class TestCliMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out_path) in err
         assert not out_path.parent.exists()
+        assert calls == []
+
+    def test_out_that_is_a_directory_exits_2_before_set_up(self, tmp_path, monkeypatch, capsys):
+        calls = record_runs(monkeypatch, aborts=False)
+        spec = dataclasses.replace(fast_spec(tmp_path), output_path=str(tmp_path))
+        assert cli.run_experiment(spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
+        assert calls == []
+
+    def test_write_error_after_the_rounds_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a directory that exists can still refuse the write (read-only, say)
+        def refuse(metrics, path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "write_metrics", refuse)
+        out_path = tmp_path / "m.jsonl"
+        spec = dataclasses.replace(fast_spec(tmp_path), output_path=str(out_path))
+        assert cli.run_experiment(spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_path) in err
 
     def test_verify_suite_dispatch(self, capsys):
         assert cli.main(["verify", "--suite", "bias"]) == 0

@@ -310,11 +310,11 @@ class TestRounds:
         config = dataclasses.replace(spec.federation, method=method)
         train_client = federation._train_client
 
-        def huge_factors(*args, **kwargs):
-            update = train_client(*args, **kwargs)
-            update.adapter.b_factor = np.full_like(update.adapter.b_factor, 1e200)
-            update.adapter.a_factor = np.full_like(update.adapter.a_factor, 1e200)
-            return update
+        def huge_factors(client, *args, **kwargs):
+            deltas = train_client(client, *args, **kwargs)
+            client.adapter.b_factor[...] = 1e200
+            client.adapter.a_factor[...] = 1e200
+            return deltas
 
         monkeypatch.setattr(federation, "_train_client", huge_factors)
         train, heldout = spec.build_datasets()
@@ -547,6 +547,25 @@ def overlap_every_layer(monkeypatch):
     monkeypatch.setattr(federation, "_OVERLAP_MIN_WEIGHT_SIZE", 0)
 
 
+def wide_layer_federation():
+    """wide_hetero's shape: 1024 x 128, 16 clients of rank 4/8/16 at half participation.
+
+    Returns its config (``ilora_s``, 2 rounds) and its training and held-out sets.
+    """
+    spec = preset_spec("paper-hetero")
+    config = dataclasses.replace(
+        spec.federation, n_clients=16, client_ranks=tuple((4, 8, 16)[i % 3] for i in range(16)),
+        server_rank=16, method="ilora_s", participation=0.5, local_epochs=1,
+        batch_size=32, hidden_dim=1024, rounds=2,
+    )
+    data = dataclasses.replace(
+        spec.data, classes=128, samples_per_class=16, input_dim=128,
+        eval_samples_per_class=20,
+    )
+    train, heldout = dataclasses.replace(spec, federation=config, data=data).build_datasets()
+    return config, train, heldout
+
+
 def client_states(clients) -> list[tuple]:
     return [
         tuple(
@@ -674,21 +693,10 @@ class TestOverlappedRound:
             server, _ = run_round(server, clients, spec.federation)
 
     def test_wide_layer_round_starts_only_the_round_helpers(self, started_threads):
-        # wide_hetero's shape: 1024 x 128, 16 clients of rank 4/8/16 at half
-        # participation. Set-up cuts both hidden maps across a helper; round
-        # 1 cuts both frozen-logit products, and every round runs its two
-        # pairs; no other round product is large enough to cut
-        spec = preset_spec("paper-hetero")
-        config = dataclasses.replace(
-            spec.federation, n_clients=16, client_ranks=tuple((4, 8, 16)[i % 3] for i in range(16)),
-            server_rank=16, method="ilora_s", participation=0.5, local_epochs=1,
-            batch_size=32, hidden_dim=1024, rounds=2,
-        )
-        data = dataclasses.replace(
-            spec.data, classes=128, samples_per_class=16, input_dim=128,
-            eval_samples_per_class=20,
-        )
-        train, heldout = dataclasses.replace(spec, federation=config, data=data).build_datasets()
+        # Set-up cuts both hidden maps across a helper; round 1 cuts both
+        # frozen-logit products, and every round runs its two pairs; no other
+        # round product is large enough to cut
+        config, train, heldout = wide_layer_federation()
         server, clients = init_federation(config, train, eval_dataset=heldout)
         assert len(started_threads) == 2
         threads = threading.active_count()
@@ -699,6 +707,35 @@ class TestOverlappedRound:
             per_round.append(len(started_threads) - before)
         assert per_round == [4, 2]
         assert threading.active_count() == threads
+
+
+def forbid_adapter_copies(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a round copied an adapter")
+
+    monkeypatch.setattr(adapter.LoraAdapter, "copy", forbidden)
+
+
+class TestUploads:
+    """A round's uploads are the sampled clients' own adapters: no round copies one."""
+
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_round_copies_no_adapter(self, monkeypatch, method, participation):
+        config = small_config(
+            method=method, client_ranks=method_ranks(method), participation=participation
+        )
+        server, clients = init_federation(config, small_dataset(config))
+        forbid_adapter_copies(monkeypatch)
+        for _ in range(config.rounds):
+            server, _ = run_round(server, clients, config)
+
+    def test_a_threaded_round_copies_no_adapter(self, monkeypatch):
+        config, train, heldout = wide_layer_federation()
+        server, clients = init_federation(config, train, eval_dataset=heldout)
+        forbid_adapter_copies(monkeypatch)
+        assert server.theta0.size >= federation._OVERLAP_MIN_WEIGHT_SIZE
+        run_round(server, clients, config)
 
 
 ROUND_PHASES = ("_sample", "_broadcast", "_train_and_diagnose", "_aggregate", "_evaluate")

@@ -535,18 +535,16 @@ class TestClientPathBitIdentical:
         t = server.round_index + 1
         for client in clients:
             b, a, bias, c_a, c_b, deltas = train_client_reference(client, server, config, t)
-            update = federation._train_client(client, server, config, t)
+            got_deltas = federation._train_client(client, server, config, t)
             assert same_bits(client.adapter.b_factor, b)
             assert same_bits(client.adapter.a_factor, a)
             assert same_bits(client.bias, bias)
-            assert same_bits(update.adapter.b_factor, b)
-            assert same_bits(update.adapter.a_factor, a)
             assert same_bits(client.controls.c_a, c_a)
             assert same_bits(client.controls.c_b, c_b)
             if config.method == "ilora_s":
-                assert all(same_bits(x, y) for x, y in zip(update.control_deltas, deltas))
+                assert all(same_bits(x, y) for x, y in zip(got_deltas, deltas))
             else:
-                assert update.control_deltas is None
+                assert got_deltas is None
 
     @settings(max_examples=150, deadline=None)
     @given(
